@@ -1,7 +1,7 @@
 """Gossip substrate: anti-entropy replication, flooding pub/sub, and
 censorship-circumvention relay discovery."""
 
-from repro.gossip.antientropy import AntiEntropyNode, ReplicaStore, Versioned
+from repro.gossip.antientropy import AntiEntropyNode, ReplicaStore, Stamp, Versioned
 from repro.gossip.pubsub import PubSubMessage, PubSubNode, build_pubsub_overlay
 from repro.gossip.relay import (
     RELAY_DIRECTORY_KEY,
@@ -15,6 +15,7 @@ from repro.gossip.relay import (
 __all__ = [
     "AntiEntropyNode",
     "ReplicaStore",
+    "Stamp",
     "Versioned",
     "PubSubMessage",
     "PubSubNode",

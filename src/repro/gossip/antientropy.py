@@ -13,6 +13,7 @@ exchange digests, pull what the peer has newer, push what we have newer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import NetworkError, RemoteError, RpcTimeoutError
@@ -20,7 +21,10 @@ from repro.net.node import Node
 from repro.net.transport import Network
 from repro.sim.rng import RngStreams
 
-__all__ = ["Versioned", "ReplicaStore", "AntiEntropyNode"]
+__all__ = ["Stamp", "Versioned", "ReplicaStore", "AntiEntropyNode"]
+
+#: ``(counter, writer, value hash)``: the total order over versions.
+Stamp = Tuple[int, str, str]
 
 
 @dataclass(frozen=True)
@@ -30,17 +34,32 @@ class Versioned:
     The stamp totally orders *all* writes, including a buggy or Byzantine
     writer reusing a counter with different values: the value hash breaks
     that tie deterministically, so replicas always converge.
+
+    Contract: ``value`` is never mutated after its ``Versioned`` is built,
+    so the stamp is hashed at most once per instance and then cached.
+    Every copy received over the wire is a new instance built by
+    :meth:`from_wire`, so a receiver always hashes the value itself and
+    never trusts a stamp computed by the sender.
     """
 
     value: Any
     counter: int
     writer: str
 
-    @property
-    def stamp(self) -> Tuple[int, str, str]:
+    @cached_property
+    def stamp(self) -> Stamp:
         from repro.crypto.hashing import hash_obj
 
         return (self.counter, self.writer, hash_obj(self.value))
+
+    def to_wire(self) -> Dict[str, Any]:
+        """The RPC payload form; carries no stamp."""
+        return {"value": self.value, "counter": self.counter, "writer": self.writer}
+
+    @classmethod
+    def from_wire(cls, raw: Dict[str, Any]) -> "Versioned":
+        """Rebuild a received item; any other field in ``raw`` is ignored."""
+        return cls(raw["value"], raw["counter"], raw["writer"])
 
 
 class ReplicaStore:
@@ -83,7 +102,7 @@ class ReplicaStore:
             return True
         return False
 
-    def digest(self) -> Dict[str, Tuple[int, str]]:
+    def digest(self) -> Dict[str, Stamp]:
         """Version stamps for every key (sent during reconciliation)."""
         return {key: item.stamp for key, item in self._items.items()}
 
@@ -123,25 +142,20 @@ class AntiEntropyNode:
 
     # -- server handlers ------------------------------------------------------
 
-    def _on_digest(self, node: Node, payload: Any, sender: str) -> Dict[str, Tuple[int, str]]:
+    def _on_digest(self, node: Node, payload: Any, sender: str) -> Dict[str, Stamp]:
         return self.store.digest()
 
     def _on_pull(self, node: Node, payload: Any, sender: str) -> Dict[str, dict]:
-        out = {}
-        for key in payload["keys"]:
-            if key in self.store:
-                item = self.store.item(key)
-                out[key] = {
-                    "value": item.value,
-                    "counter": item.counter,
-                    "writer": item.writer,
-                }
-        return out
+        return {
+            key: self.store.item(key).to_wire()
+            for key in payload["keys"]
+            if key in self.store
+        }
 
     def _on_push(self, node: Node, payload: Any, sender: str) -> int:
         merged = 0
         for key, raw in payload["items"].items():
-            item = Versioned(raw["value"], raw["counter"], raw["writer"])
+            item = Versioned.from_wire(raw)
             if self.store.merge(key, item):
                 merged += 1
                 if self.on_change is not None:
@@ -191,11 +205,7 @@ class AntiEntropyNode:
             if key not in mine or tuple(stamp) > mine[key]
         ]
         to_push = {
-            key: {
-                "value": self.store.item(key).value,
-                "counter": self.store.item(key).counter,
-                "writer": self.store.item(key).writer,
-            }
+            key: self.store.item(key).to_wire()
             for key, stamp in mine.items()
             if key not in their_digest or stamp > tuple(their_digest[key])
         }
@@ -206,7 +216,7 @@ class AntiEntropyNode:
                     timeout=self.rpc_timeout,
                 )
                 for key, raw in items.items():
-                    item = Versioned(raw["value"], raw["counter"], raw["writer"])
+                    item = Versioned.from_wire(raw)
                     if self.store.merge(key, item):
                         self.items_transferred += 1
                         if self.on_change is not None:

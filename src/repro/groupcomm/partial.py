@@ -59,7 +59,7 @@ from repro.errors import (
     RemoteError,
     RpcTimeoutError,
 )
-from repro.gossip.antientropy import Versioned
+from repro.gossip.antientropy import Stamp, Versioned
 from repro.groupcomm.federated import FederationBase
 from repro.groupcomm.messages import Message
 from repro.net.node import Node
@@ -79,8 +79,6 @@ __all__ = [
     "TrustWeighted",
     "make_strategy",
 ]
-
-Stamp = Tuple[int, str, str]
 
 
 class FederationPolicy:
@@ -653,7 +651,7 @@ class PartialFederation(FederationBase):
             if not hub.accepts_from(sender, raw["value"]):
                 self._count("fed.push_rejected")
                 return
-            hub.merge(key, _versioned_from_wire(raw))
+            hub.merge(key, Versioned.from_wire(raw))
 
         return handler
 
@@ -688,7 +686,7 @@ class PartialFederation(FederationBase):
                 if key in hub.store:
                     item = hub.store.item(key)
                     if hub.shares_with(peer, item.value):
-                        out[key] = _versioned_to_wire(item)
+                        out[key] = item.to_wire()
             return out
 
         return handler
@@ -702,7 +700,7 @@ class PartialFederation(FederationBase):
                 if not hub.accepts_from(sender, raw["value"]):
                     self._count("fed.push_rejected")
                     continue
-                outcome = hub.merge(key, _versioned_from_wire(raw))
+                outcome = hub.merge(key, Versioned.from_wire(raw))
                 if outcome in ("adopted", "fast_forward", "resolved_adopted"):
                     merged += 1
             return merged
@@ -715,7 +713,7 @@ class PartialFederation(FederationBase):
         """Push a fresh write to every policy-admitted peer, in sorted
         peer order (deterministic fan-out), fire-and-forget."""
         hub = self.hubs[server_id]
-        wire = _versioned_to_wire(item)
+        wire = item.to_wire()
         for peer in hub.active_peers():
             if hub.shares_with(peer, item.value):
                 self._count("fed.push_shared")
@@ -772,7 +770,7 @@ class PartialFederation(FederationBase):
             if key not in mine or tuple(stamp) != mine[key]
         ]
         to_push = {
-            key: _versioned_to_wire(hub.store.item(key))
+            key: hub.store.item(key).to_wire()
             for key, stamp in mine.items()
             if (key not in their_digest
                 or tuple(their_digest[key]) != stamp)
@@ -789,7 +787,7 @@ class PartialFederation(FederationBase):
                     if not hub.accepts_from(peer_id, raw["value"]):
                         self._count("fed.push_rejected")
                         continue
-                    outcome = hub.merge(key, _versioned_from_wire(raw))
+                    outcome = hub.merge(key, Versioned.from_wire(raw))
                     if outcome in ("adopted", "fast_forward",
                                    "resolved_adopted"):
                         hub.items_transferred += 1
@@ -1010,15 +1008,3 @@ class PartialFederation(FederationBase):
                 server=server_id, key=key, outcome=outcome,
                 strategy=self.strategy.name,
             )
-
-
-def _versioned_to_wire(item: Versioned) -> Dict[str, Any]:
-    return {
-        "value": item.value,
-        "counter": item.counter,
-        "writer": item.writer,
-    }
-
-
-def _versioned_from_wire(raw: Dict[str, Any]) -> Versioned:
-    return Versioned(raw["value"], raw["counter"], raw["writer"])

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.crypto.hashing as hashing
 from repro.errors import GroupCommError
 from repro.gossip import (
     AntiEntropyNode,
@@ -57,6 +58,48 @@ class TestReplicaStore:
         store.merge("k", Versioned("remote", 50, "other"))
         store.write("k", "local", "me")
         assert store.item("k").counter > 50
+
+
+@pytest.fixture
+def hash_calls(monkeypatch):
+    """Record every ``hash_obj`` call; ``Versioned.stamp`` looks it up in
+    ``repro.crypto.hashing`` on each computation."""
+    calls = []
+    real = hashing.hash_obj
+
+    def counting(obj):
+        calls.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(hashing, "hash_obj", counting)
+    return calls
+
+
+class TestStamp:
+    def test_stamp_hashed_once_per_instance(self, hash_calls):
+        old = Versioned({"text": "old"}, 1, "a")
+        new = Versioned({"text": "new"}, 2, "b")
+        store = ReplicaStore()
+        for _ in range(3):
+            store.merge("k", old)
+            store.merge("k", new)
+            assert store.digest() == {"k": new.stamp}
+            assert old.stamp < new.stamp
+        assert hash_calls == [{"text": "new"}, {"text": "old"}]
+        assert old.stamp == (1, "a", hashing.hash_obj({"text": "old"}))
+
+    def test_from_wire_ignores_forged_stamp(self):
+        wire = Versioned({"text": "hi"}, 4, "w").to_wire()
+        assert wire == {"value": {"text": "hi"}, "counter": 4, "writer": "w"}
+        forged = dict(wire, stamp=[99, "zzz", "forged"])
+        item = Versioned.from_wire(forged)
+        assert item == Versioned({"text": "hi"}, 4, "w")
+        assert item.stamp == (4, "w", hashing.hash_obj({"text": "hi"}))
+        store = ReplicaStore()
+        store.write("k", "local", "m")
+        store.write("k", "local-2", "m")
+        assert not store.merge("k", Versioned.from_wire(dict(forged, counter=1)))
+        assert store.get("k") == "local-2"
 
 
 class TestAntiEntropy:
@@ -119,6 +162,20 @@ class TestAntiEntropy:
 
         assert sim.run_process(scenario()) is True
         assert replicas["s1"].store.get("k") == "v"
+
+    def test_in_sync_reconcile_hashes_nothing(self, hash_calls):
+        sim, network, replicas = self.build_cluster()
+        replicas["s0"].write("k1", {"text": "a"})
+        replicas["s1"].write("k2", {"text": "b"})
+
+        def reconcile():
+            return (yield from replicas["s1"].reconcile_with("s0"))
+
+        assert sim.run_process(reconcile()) is True
+        assert replicas["s0"].store.digest() == replicas["s1"].store.digest()
+        hash_calls.clear()
+        assert sim.run_process(reconcile()) is True
+        assert hash_calls == []
 
     def test_reconcile_with_offline_peer_fails_gracefully(self):
         sim, network, replicas = self.build_cluster()
