@@ -357,11 +357,18 @@ class Network:
         The handler's return value is discarded.  Lost silently if the
         message is dropped or the destination is offline at arrival.
         """
-        src, dst = self.node(src_id), self.node(dst_id)
-        self.monitor.counters.increment("messages_sent")
-        self.monitor.counters.increment(f"bytes_sent.{src_id}", size_bytes)
+        if size_bytes < 0:
+            raise NetworkError(f"negative message size: {size_bytes}")
+        nodes = self._nodes
+        src, dst = nodes.get(src_id), nodes.get(dst_id)
+        if src is None or dst is None:
+            src, dst = self.node(src_id), self.node(dst_id)  # raises
+        counters = self.monitor.counters
+        counters.increment("messages_sent")
+        counters.increment(f"bytes_sent.{src_id}", size_bytes)
         self._flow_sent += 1
-        self._msg_event("msg_send", src_id, dst_id, method, size_bytes)
+        if self._tracer is not None or self._metrics is not None:
+            self._msg_event("msg_send", src_id, dst_id, method, size_bytes)
         # Loss/latency fault checks inlined (not via _dropped()/_delay()):
         # this is the hottest path in the library and the quiet-plan cost
         # budget is one pointer check per hook, not a method call.
@@ -370,61 +377,67 @@ class Network:
                 and self._loss_rng.random() < self.loss_rate) or (
                 faults is not None and faults.drop_prob > 0
                 and faults.drop_rng.random() < faults.drop_prob):
-            self.monitor.counters.increment("messages_lost")
-            self._flow_dropped += 1
-            self._msg_event("msg_drop", src_id, dst_id, method, size_bytes,
-                            reason="loss")
+            self._drop("messages_lost", src_id, dst_id, method, size_bytes,
+                       "loss")
             return
         delay = self.latency.delay(src, dst, size_bytes)
         if faults is not None and faults.latency_factor != 1.0:
             delay *= faults.latency_factor
         self._flow_in_flight += 1
+        self.sim.schedule(delay, self._deliver, src_id, dst, method, payload,
+                          size_bytes)
 
-        def deliver() -> None:
-            self._flow_in_flight -= 1
-            if not dst.online:
-                self.monitor.counters.increment("messages_to_offline")
-                self._flow_dropped += 1
-                self._msg_event("msg_drop", src_id, dst_id, method,
-                                size_bytes, reason="offline")
-                return
-            if (self._censor is not None
-                    and self._censored(src_id, dst_id, method)):
-                self._flow_dropped += 1
-                self._msg_event("msg_drop", src_id, dst_id, method,
-                                size_bytes, reason="censor")
-                return
-            if not self.can_reach(src_id, dst_id):
-                self.monitor.counters.increment("messages_partitioned")
-                self._flow_dropped += 1
-                self._msg_event("msg_drop", src_id, dst_id, method,
-                                size_bytes, reason="partition")
-                return
-            arrival_faults = self._faults
-            if (arrival_faults is not None
-                    and arrival_faults.corrupt_prob > 0
-                    and arrival_faults.corrupt_rng.random()
-                    < arrival_faults.corrupt_prob):
-                self.monitor.counters.increment("messages_corrupted")
-                self._flow_dropped += 1
-                self._msg_event("msg_drop", src_id, dst_id, method,
-                                size_bytes, reason="corrupt")
-                return
-            self.monitor.counters.increment("messages_delivered")
-            self._flow_delivered += 1
+    def _deliver(
+        self,
+        src_id: str,
+        dst: Node,
+        method: str,
+        payload: Any,
+        size_bytes: int,
+    ) -> None:
+        """Arrival of one one-way leg, scheduled by :meth:`send`.
+
+        A bound method rather than a per-message closure, so an
+        in-flight leg costs four GC-tracked objects: its heap tuple,
+        ``_ScheduledEvent``, bound method and args tuple.  Checks run
+        offline → censor → partition → corrupt, each reading transport
+        state at arrival, so faults landing mid-flight still kill it.
+        """
+        self._flow_in_flight -= 1
+        dst_id = dst.node_id
+        if not dst.online:
+            self._drop("messages_to_offline", src_id, dst_id, method,
+                       size_bytes, "offline")
+            return
+        if (self._censor is not None
+                and self._censored(src_id, dst_id, method)):
+            self._drop(None, src_id, dst_id, method, size_bytes, "censor")
+            return
+        if ((self._partition is not None or self._censor is not None)
+                and not self.can_reach(src_id, dst_id)):
+            self._drop("messages_partitioned", src_id, dst_id, method,
+                       size_bytes, "partition")
+            return
+        faults = self._faults
+        if (faults is not None and faults.corrupt_prob > 0
+                and faults.corrupt_rng.random() < faults.corrupt_prob):
+            self._drop("messages_corrupted", src_id, dst_id, method,
+                       size_bytes, "corrupt")
+            return
+        self.monitor.counters.increment("messages_delivered")
+        self._flow_delivered += 1
+        if self._tracer is not None or self._metrics is not None:
             self._msg_event("msg_deliver", src_id, dst_id, method, size_bytes)
-            try:
-                result = dst.dispatch(method, payload, src_id)
-            except ReproError:
-                self.monitor.counters.increment("handler_errors")
-                return  # fire-and-forget: failures are silent
-            if _is_generator(result):
-                self.sim.spawn(
-                    _swallow_repro_errors(result, self.monitor),
-                    name=f"{dst_id}.{method}",
-                )
-
-        self.sim.schedule(delay, deliver)
+        try:
+            result = dst.dispatch(method, payload, src_id)
+        except ReproError:
+            self.monitor.counters.increment("handler_errors")
+            return  # fire-and-forget: failures are silent
+        if result is not None and _is_generator(result):
+            self.sim.spawn(
+                _swallow_repro_errors(result, self.monitor),
+                name=f"{dst_id}.{method}",
+            )
 
     def broadcast(
         self,
@@ -470,6 +483,11 @@ class Network:
         """
         if retries < 0:
             raise NetworkError(f"retries must be >= 0, got {retries}")
+        if size_bytes < 0 or response_bytes < 0:
+            raise NetworkError(
+                f"negative message size: size_bytes={size_bytes},"
+                f" response_bytes={response_bytes}"
+            )
         attempts = int(retries) + 1
         for attempt in range(attempts):
             try:
@@ -530,10 +548,8 @@ class Network:
                 done,
             )
         else:
-            self.monitor.counters.increment("messages_lost")
-            self._flow_dropped += 1
-            self._msg_event("msg_drop", src_id, dst_id, method, size_bytes,
-                            reason="loss", leg="rpc_request")
+            self._drop("messages_lost", src_id, dst_id, method, size_bytes,
+                       "loss", "rpc_request")
 
         # The AnyOf winner cancels the loser: on response, the timeout's
         # heap entry is invalidated (the queue does not stay hot for
@@ -591,21 +607,19 @@ class Network:
             return  # caller times out
         if (self._censor is not None
                 and self._censored(src.node_id, dst.node_id, method)):
-            self._flow_dropped += 1
-            self._msg_event("msg_drop", src.node_id, dst.node_id, method,
-                            0, reason="censor", leg="rpc_request")
+            self._drop(None, src.node_id, dst.node_id, method, 0, "censor",
+                       "rpc_request")
             return  # caller times out
-        if not self.can_reach(src.node_id, dst.node_id):
+        if ((self._partition is not None or self._censor is not None)
+                and not self.can_reach(src.node_id, dst.node_id)):
             self.monitor.counters.increment("messages_partitioned")
             self._flow_dropped += 1
             return  # caller times out
         faults = self._faults
         if (faults is not None and faults.corrupt_prob > 0
                 and faults.corrupt_rng.random() < faults.corrupt_prob):
-            self.monitor.counters.increment("messages_corrupted")
-            self._flow_dropped += 1
-            self._msg_event("msg_drop", src.node_id, dst.node_id, method,
-                            0, reason="corrupt", leg="rpc_request")
+            self._drop("messages_corrupted", src.node_id, dst.node_id, method,
+                       0, "corrupt", "rpc_request")
             return  # caller times out
         self._flow_delivered += 1
         try:
@@ -613,7 +627,7 @@ class Network:
         except ReproError as exc:
             self._rpc_respond(src, dst, _RpcFault(exc), response_bytes, done)
             return
-        if _is_generator(result):
+        if result is not None and _is_generator(result):
             process = self.sim.spawn(
                 _faults_to_value(result), name=f"{dst.node_id}.{method}"
             )
@@ -638,10 +652,8 @@ class Network:
                 and self._loss_rng.random() < self.loss_rate) or (
                 faults is not None and faults.drop_prob > 0
                 and faults.drop_rng.random() < faults.drop_prob):
-            self.monitor.counters.increment("messages_lost")
-            self._flow_dropped += 1
-            self._msg_event("msg_drop", dst.node_id, src.node_id, "response",
-                            response_bytes, reason="loss", leg="rpc_response")
+            self._drop("messages_lost", dst.node_id, src.node_id, "response",
+                       response_bytes, "loss", "rpc_response")
             return
         self._msg_event("msg_send", dst.node_id, src.node_id, "response",
                         response_bytes, leg="rpc_response")
@@ -649,48 +661,44 @@ class Network:
         if faults is not None and faults.latency_factor != 1.0:
             delay *= faults.latency_factor
         self._flow_in_flight += 1
+        self.sim.schedule(delay, self._deliver_response, src, dst, value,
+                          response_bytes, done)
 
-        def deliver() -> None:
-            self._flow_in_flight -= 1
-            if not src.online:
-                self.monitor.counters.increment("messages_to_offline")
-                self._flow_dropped += 1
-                self._msg_event("msg_drop", dst.node_id, src.node_id,
-                                "response", response_bytes, reason="offline",
-                                leg="rpc_response")
-                return
-            if (self._censor is not None
-                    and self._censored(dst.node_id, src.node_id, "response")):
-                self._flow_dropped += 1
-                self._msg_event("msg_drop", dst.node_id, src.node_id,
-                                "response", response_bytes,
-                                reason="censor", leg="rpc_response")
-                return
-            if not self.can_reach(dst.node_id, src.node_id):
-                self.monitor.counters.increment("messages_partitioned")
-                self._flow_dropped += 1
-                self._msg_event("msg_drop", dst.node_id, src.node_id,
-                                "response", response_bytes,
-                                reason="partition", leg="rpc_response")
-                return
-            arrival_faults = self._faults
-            if (arrival_faults is not None
-                    and arrival_faults.corrupt_prob > 0
-                    and arrival_faults.corrupt_rng.random()
-                    < arrival_faults.corrupt_prob):
-                self.monitor.counters.increment("messages_corrupted")
-                self._flow_dropped += 1
-                self._msg_event("msg_drop", dst.node_id, src.node_id,
-                                "response", response_bytes,
-                                reason="corrupt", leg="rpc_response")
-                return
-            self._flow_delivered += 1
-            self._msg_event("msg_deliver", dst.node_id, src.node_id,
-                            "response", response_bytes, leg="rpc_response")
-            if not done.fired:
-                done.fire(value)
-
-        self.sim.schedule(delay, deliver)
+    def _deliver_response(
+        self, src: Node, dst: Node, value: Any, response_bytes: int,
+        done: Signal,
+    ) -> None:
+        """Arrival of an RPC response at the caller ``src``, scheduled by
+        :meth:`_rpc_respond`; the same arrival checks, in the same order,
+        as :meth:`_deliver`."""
+        self._flow_in_flight -= 1
+        server_id, client_id = dst.node_id, src.node_id
+        if not src.online:
+            self._drop("messages_to_offline", server_id, client_id,
+                       "response", response_bytes, "offline", "rpc_response")
+            return
+        if (self._censor is not None
+                and self._censored(server_id, client_id, "response")):
+            self._drop(None, server_id, client_id, "response",
+                       response_bytes, "censor", "rpc_response")
+            return
+        if ((self._partition is not None or self._censor is not None)
+                and not self.can_reach(server_id, client_id)):
+            self._drop("messages_partitioned", server_id, client_id,
+                       "response", response_bytes, "partition",
+                       "rpc_response")
+            return
+        faults = self._faults
+        if (faults is not None and faults.corrupt_prob > 0
+                and faults.corrupt_rng.random() < faults.corrupt_prob):
+            self._drop("messages_corrupted", server_id, client_id,
+                       "response", response_bytes, "corrupt", "rpc_response")
+            return
+        self._flow_delivered += 1
+        self._msg_event("msg_deliver", server_id, client_id, "response",
+                        response_bytes, leg="rpc_response")
+        if not done.fired:
+            done.fire(value)
 
     # -- partitions -------------------------------------------------------------
 
@@ -748,6 +756,24 @@ class Network:
 
     # -- internals ------------------------------------------------------------
 
+    def _drop(
+        self,
+        counter: Optional[str],
+        src_id: str,
+        dst_id: str,
+        method: str,
+        size_bytes: int,
+        reason: str,
+        leg: Optional[str] = None,
+    ) -> None:
+        """Account one dropped leg: its monitor counter (if any), the
+        flow ledger, and a ``msg_drop`` event."""
+        if counter is not None:
+            self.monitor.counters.increment(counter)
+        self._flow_dropped += 1
+        self._msg_event("msg_drop", src_id, dst_id, method, size_bytes,
+                        reason=reason, leg=leg)
+
     def _msg_event(
         self,
         kind: str,
@@ -782,10 +808,11 @@ class Network:
                 self._metrics.inc(f"net.messages_dropped.{reason}")
 
     # The three fault predicates below are the reference implementations
-    # (exercised directly by the injector tests).  The message hot paths
-    # (send / _rpc_attempt / _rpc_arrive / _rpc_respond) inline the same
-    # logic — identical draw order — to keep the quiet-plan cost at one
-    # pointer check per hook; keep both in sync.
+    # (exercised directly by the injector tests).  The send paths (send /
+    # _rpc_attempt / _rpc_respond) and the arrival methods (_deliver /
+    # _rpc_arrive / _deliver_response) inline the same logic — identical
+    # draw order — to keep the quiet-plan cost at one pointer check per
+    # hook; keep both in sync.
 
     def _dropped(self) -> bool:
         if self.loss_rate > 0 and self._loss_rng.random() < self.loss_rate:

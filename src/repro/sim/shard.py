@@ -38,7 +38,8 @@ Observability: the coordinator threads ``shard.messages_crossed``,
 ``shard_sync`` / ``shard_envelope`` trace kinds through
 :mod:`repro.obs`.  Fault plans arm one
 :class:`~repro.faults.FaultInjector` per shard, so ``FaultSurface``
-windows and partitions apply on every shard consistently.
+windows, partitions and censor campaigns apply on every shard
+consistently.
 
 Execution modes: ``mode="inline"`` (default) advances every shard in
 one process — the mode goldens, CI smokes, and traces use.
@@ -65,9 +66,9 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import NetworkError, ReproError, SimulationError
+from repro.errors import NetworkError, SimulationError
 from repro.net.latency import LatencyModel
-from repro.net.transport import Network, _is_generator, _swallow_repro_errors
+from repro.net.transport import Network
 from repro.obs.metrics import Metrics
 from repro.obs.runtime import active as _active_observation
 from repro.obs.tracer import Tracer
@@ -217,8 +218,8 @@ class ShardNetwork(Network):
     behaviour.  A ``send`` to a remote node performs the normal
     send-side accounting and loss draw, then freezes the leg into an
     :class:`Envelope` instead of scheduling local delivery; arrival
-    checks (liveness, partition, corruption) happen on the destination
-    shard, where that node's state is authoritative.
+    checks (liveness, censor, partition, corruption) happen on the
+    destination shard, where that node's state is authoritative.
 
     Cross-shard ``rpc`` is not supported — the request/response
     generator would need to block across the barrier; shard workloads
@@ -264,6 +265,8 @@ class ShardNetwork(Network):
         if self.is_local(dst_id):
             super().send(src_id, dst_id, method, payload, size_bytes)
             return
+        if size_bytes < 0:
+            raise NetworkError(f"negative message size: {size_bytes}")
         src, dst = self.node(src_id), self.node(dst_id)
         self.monitor.counters.increment("messages_sent")
         self.monitor.counters.increment(f"bytes_sent.{src_id}", size_bytes)
@@ -276,10 +279,8 @@ class ShardNetwork(Network):
                 and self._loss_rng.random() < self.loss_rate) or (
                 faults is not None and faults.drop_prob > 0
                 and faults.drop_rng.random() < faults.drop_prob):
-            self.monitor.counters.increment("messages_lost")
-            self._flow_dropped += 1
-            self._msg_event("msg_drop", src_id, dst_id, method, size_bytes,
-                            reason="loss")
+            self._drop("messages_lost", src_id, dst_id, method, size_bytes,
+                       "loss")
             return
         delay = self.latency.delay(src, dst, size_bytes)
         if faults is not None and faults.latency_factor != 1.0:
@@ -333,45 +334,10 @@ class ShardNetwork(Network):
         )
 
     def _arrive_envelope(self, envelope: Envelope) -> None:
-        # Mirrors the deliver() closure in Network.send: same checks,
-        # same counters, same trace events — on the authoritative shard.
-        self._flow_in_flight -= 1
-        src_id, dst_id = envelope.src_id, envelope.dst_id
-        method, size_bytes = envelope.method, envelope.size_bytes
-        dst = self.node(dst_id)
-        if not dst.online:
-            self.monitor.counters.increment("messages_to_offline")
-            self._flow_dropped += 1
-            self._msg_event("msg_drop", src_id, dst_id, method, size_bytes,
-                            reason="offline")
-            return
-        if not self.can_reach(src_id, dst_id):
-            self.monitor.counters.increment("messages_partitioned")
-            self._flow_dropped += 1
-            self._msg_event("msg_drop", src_id, dst_id, method, size_bytes,
-                            reason="partition")
-            return
-        faults = self._faults
-        if (faults is not None and faults.corrupt_prob > 0
-                and faults.corrupt_rng.random() < faults.corrupt_prob):
-            self.monitor.counters.increment("messages_corrupted")
-            self._flow_dropped += 1
-            self._msg_event("msg_drop", src_id, dst_id, method, size_bytes,
-                            reason="corrupt")
-            return
-        self.monitor.counters.increment("messages_delivered")
-        self._flow_delivered += 1
-        self._msg_event("msg_deliver", src_id, dst_id, method, size_bytes)
-        try:
-            result = dst.dispatch(method, envelope.payload, src_id)
-        except ReproError:
-            self.monitor.counters.increment("handler_errors")
-            return  # fire-and-forget: failures are silent
-        if _is_generator(result):
-            self.sim.spawn(
-                _swallow_repro_errors(result, self.monitor),
-                name=f"{dst_id}.{method}",
-            )
+        # The same arrival checks, counters and trace events as a local
+        # leg (Network._deliver), run on the authoritative shard.
+        self._deliver(envelope.src_id, self.node(envelope.dst_id),
+                      envelope.method, envelope.payload, envelope.size_bytes)
 
 
 # ---------------------------------------------------------------------------

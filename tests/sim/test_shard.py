@@ -173,6 +173,13 @@ class TestShardNetwork:
         assert got == [7]
         assert network._take_outbox() == []
 
+    def test_remote_send_rejects_negative_size_before_accounting(self):
+        sim, network = _two_node_network(shard_index=0)
+        with pytest.raises(NetworkError, match="negative message size"):
+            network.send("a", "b", "ping", size_bytes=-1)
+        assert network.flow_snapshot()["sent"] == 0
+        assert network._take_outbox() == []
+
     def test_cross_shard_rpc_is_rejected(self):
         sim, network = _two_node_network(shard_index=0)
         with pytest.raises(NetworkError):
@@ -422,6 +429,72 @@ class TestObservationAndFaults:
             on_sync=lambda r, t: observed.append(coordinator.live_flow())
         )
         assert observed and all(flow is None for flow in observed)
+
+
+_BORDER_IDS = ("in0", "in1", "out0", "out1")
+
+
+def _border_mesh_workload():
+    """Every node pings every other node once at t=1.0.
+
+    At K=2 ``in1`` and ``out0`` land on different shards, so their
+    pings cross the barrier as envelopes."""
+
+    def build(shard):
+        network, sim = shard.network, shard.sim
+        received = {"count": 0}
+        shard.state["received"] = received
+
+        def on_ping(node, payload, sender_id):
+            received["count"] += 1
+
+        for node_id in _BORDER_IDS:
+            network.add_node(Node(node_id)).register_handler("ping", on_ping)
+        for src in _BORDER_IDS:
+            if shard.owns(src):
+                for dst in _BORDER_IDS:
+                    if dst != src:
+                        sim.schedule_at(1.0, network.send, src, dst, "ping")
+
+    return ShardWorkload(
+        name="border_mesh",
+        node_ids=_BORDER_IDS,
+        build=build,
+        collect=lambda shard: {
+            "received": shard.state["received"]["count"],
+            "censored": shard.network.monitor.counters.get(
+                "messages_censored"
+            ),
+        },
+        latency_factory=lambda streams: ConstantLatency(0.1),
+        horizon=5.0,
+    )
+
+
+class TestCensorAcrossShards:
+    def test_cross_shard_legs_meet_the_censor(self):
+        from repro.faults import Censor, FaultPlan
+
+        plan = FaultPlan([Censor(inside=("in0", "in1"), at=0.5,
+                                 blocked=("out0",), direction="both")])
+        runs = {}
+        for shards in (1, 2):
+            coordinator = ShardedSimulator(
+                _border_mesh_workload, shards=shards, seed=1, plan=plan
+            )
+            results = coordinator.run()
+            runs[shards] = (
+                sum(r["received"] for r in results),
+                sum(r["censored"] for r in results),
+                coordinator.flow,
+                coordinator.router.messages_crossed,
+            )
+        # Both directions of in0<->out0 and in1<->out0 are blocked.
+        assert runs[1][:3] == (8, 4, {
+            "sent": 12, "delivered": 8, "dropped": 4, "in_flight": 0,
+        })
+        assert runs[2][:3] == runs[1][:3]
+        assert runs[2][3] > 0  # the K=2 run really crossed shards
 
 
 class _FakePipe:
