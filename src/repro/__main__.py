@@ -196,6 +196,7 @@ def _register_sweeps() -> None:
 
 def _sweep(args) -> int:
     from repro.analysis import SweepCache, SweepRunner
+    from repro.errors import SimulationError
 
     _register_sweeps()
     if args.engine == "cohort":
@@ -203,6 +204,10 @@ def _sweep(args) -> int:
         if cohort_driver is None:
             print(f"no cohort engine for {args.name!r}; cohort-sweepable:"
                   f" {', '.join(sorted(_SWEEPABLE_COHORT))}", file=sys.stderr)
+            return 2
+        if args.devices is not None and args.devices < 1:
+            print(f"--devices must be >= 1, got {args.devices}",
+                  file=sys.stderr)
             return 2
         driver = lambda runner, seed: cohort_driver(runner, seed, args.devices)
         if args.shards is not None:
@@ -246,7 +251,11 @@ def _sweep(args) -> int:
     cache = None if args.no_cache else SweepCache(args.cache_dir)
     runner = SweepRunner(workers=args.workers, cache=cache,
                          chunksize=args.chunksize, metrics=metrics)
-    rows = driver(runner, args.seed)
+    try:
+        rows = driver(runner, args.seed)
+    except SimulationError as exc:
+        print(f"sweep: {exc}", file=sys.stderr)
+        return 2
     print(render_table(list(rows)))
     print()
     print(render_table(runner.stats.summary_rows()))

@@ -22,13 +22,15 @@ compares across engines within the tolerance contract of
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy
 
 from repro.analysis.runner import SweepRunner
 from repro.core.feasibility import paper_model
+from repro.errors import SimulationError
 from repro.net.churn import ChurnProfile, attach_churn, profile_for_class
 from repro.net.latency import LogNormalLatency
 from repro.net.node import Node
@@ -51,6 +53,18 @@ FLEET_SHARES = (
     ("personal_computer", 0.4),
     ("smartphone", 0.4),
     ("tablet", 0.2),
+)
+
+
+def _fleet_sizes(devices: int) -> List[int]:
+    """Cohort size per ``FLEET_SHARES`` class; the last takes the rest."""
+    sizes = [int(devices * share) for _, share in FLEET_SHARES[:-1]]
+    return sizes + [devices - sum(sizes)]
+
+
+#: The smallest fleet that gives every ``FLEET_SHARES`` class a device.
+FLEET_MIN_DEVICES = next(
+    n for n in itertools.count(1) if min(_fleet_sizes(n)) >= 1
 )
 
 
@@ -200,17 +214,27 @@ def _federation_cohort_point(
     )
     engine = CohortEngine(tick=tick)
     engine.add(cohort)
-    home = numpy.arange(devices) % n_servers
     counts = {"readable": 0, "samples": 0}
 
-    def on_tick(t: float) -> None:
+    # Servers change state only at fail_at, so each state's per-user
+    # home-server mask is built once, not per tick.  Round robin: user
+    # i is homed on server i % n_servers.
+    copies = -(-devices // n_servers)
+
+    def server_state(failed: bool) -> Tuple[Any, Any]:
         server_up = numpy.ones(n_servers, dtype=bool)
-        if t >= fail_at:
+        if failed:
             server_up[:failed_servers] = False
+        return server_up, numpy.tile(server_up, copies)[:devices]
+
+    before, after = server_state(False), server_state(True)
+
+    def on_tick(t: float) -> None:
+        server_up, home_up = after if t >= fail_at else before
         if model_name == "single_home":
             readable = cohort.online_count() if bool(server_up.all()) else 0
         elif model_name == "replicated":
-            readable = int((cohort.online & server_up[home]).sum())
+            readable = int(numpy.count_nonzero(cohort.online & home_up))
         elif model_name == "replicated_failover":
             readable = cohort.online_count() if bool(server_up.any()) else 0
         else:
@@ -438,6 +462,12 @@ def run_quality_vs_quantity_cohort(
     """E9 at population scale: datacenter vs device grade object availability."""
     from repro.analysis.experiments import QUALITY_PROFILES
 
+    minimum = max(replication_factors, default=1)
+    if devices < minimum:
+        raise SimulationError(
+            f"E9 cohort needs at least {minimum} devices (one object at"
+            f" replication factor {minimum}), got {devices}"
+        )
     runner = runner or SweepRunner()
     configs = [
         {
@@ -476,14 +506,7 @@ def _feasibility_cohort_point(
     engine = CohortEngine(tick=tick)
     cohorts: Dict[str, DeviceCohort] = {}
     sums: Dict[str, int] = {}
-    remaining = devices
-    for index, (class_name, share) in enumerate(FLEET_SHARES):
-        size = (
-            remaining
-            if index == len(FLEET_SHARES) - 1
-            else int(devices * share)
-        )
-        remaining -= size
+    for (class_name, _), size in zip(FLEET_SHARES, _fleet_sizes(devices)):
         profile = profile_for_class(class_name)
         cohorts[class_name] = engine.add(
             DeviceCohort(
@@ -533,6 +556,11 @@ def run_feasibility_cohort(
     runner: Optional[SweepRunner] = None,
 ) -> Dict[str, object]:
     """E3 at 10^6 devices: Table 3 derated by measured fleet availability."""
+    if devices < FLEET_MIN_DEVICES:
+        raise SimulationError(
+            f"E3 cohort needs at least {FLEET_MIN_DEVICES} devices (one per"
+            f" fleet class), got {devices}"
+        )
     runner = runner or SweepRunner()
     config = {
         "seed": seed,

@@ -4,10 +4,11 @@ The per-process engine (:mod:`repro.sim.engine`) schedules one heap
 event per device transition, which tops out around 10^2-10^3 nodes.
 The paper's §4 feasibility argument is about *millions* of devices, so
 this module provides the batch alternative: a :class:`DeviceCohort`
-holds the state of N homogeneous devices as numpy arrays (online flag,
-renewal clock, departure flag, online-time integral) and advances them
-with whole-cohort array operations between coarse ticks driven by a
-:class:`CohortEngine`.
+holds the state of N homogeneous devices as three numpy arrays (online
+flag, renewal clock, departure flag) plus two scalar flip-time sums,
+and advances them between coarse ticks driven by a
+:class:`CohortEngine`.  A step costs one O(N) comparison plus work
+proportional to the devices that actually flip.
 
 Semantics mirror :class:`repro.net.churn.ChurnProcess` — an alternating
 renewal process with exponential dwell times and per-departure
@@ -27,13 +28,14 @@ Determinism notes:
 * Aggregate counters (flips, sessions, departures, per-tick online
   counts) are integers, so golden tests can pin them exactly.
 
-Memory stays O(arrays) + O(histogram buckets): no per-device Python
-objects are ever created, and results stream into the bucket-sketch
-:class:`repro.obs.metrics.Histogram`.
+Memory stays O(arrays) + O(histogram buckets): 10 bytes of array state
+per device, no per-device Python objects, and results stream into the
+bucket-sketch :class:`repro.obs.metrics.Histogram`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, List, Optional
 
 import numpy
@@ -66,9 +68,12 @@ class DeviceCohort:
     probability of never returning.  All devices start online (matching
     ``ChurnProcess``) unless ``start_online=False``.
 
-    The per-device state is five flat numpy arrays; aggregate accessors
-    (:meth:`online_count`, :meth:`sessions`, ...) return plain Python
-    ints/floats so reports stay JSON-safe.
+    The per-device state is three flat numpy arrays -- ``online`` and
+    ``departed`` (bool) and ``next_flip`` (float64), 10 bytes a device.
+    The online-time integral is two scalars: the times of every
+    online->offline and every offline->online flip, summed.  Aggregate
+    accessors (:meth:`online_count`, :meth:`sessions`, ...) return plain
+    Python ints/floats so reports stay JSON-safe.
     """
 
     def __init__(
@@ -84,10 +89,13 @@ class DeviceCohort:
     ):
         if size < 1:
             raise SimulationError(f"cohort needs at least one device: {size}")
-        if mean_uptime <= 0 or mean_downtime <= 0:
+        if not all(
+            math.isfinite(mean) and mean > 0
+            for mean in (mean_uptime, mean_downtime)
+        ):
             raise SimulationError(
-                f"cohort needs positive dwell means, got {mean_uptime},"
-                f" {mean_downtime}"
+                f"cohort needs finite positive dwell means, got"
+                f" {mean_uptime}, {mean_downtime}"
             )
         if not 0 <= attrition <= 1:
             raise SimulationError(f"attrition must be in [0,1]: {attrition}")
@@ -100,8 +108,11 @@ class DeviceCohort:
         self.now = 0.0
         self.online = numpy.full(self.size, bool(start_online))
         self.departed = numpy.zeros(self.size, dtype=bool)
-        self._last_update = numpy.zeros(self.size, dtype=numpy.float64)
-        self._online_seconds = numpy.zeros(self.size, dtype=numpy.float64)
+        # Every online interval opens at 0 or at an on-flip and closes at
+        # an off-flip or at ``now``, so these two sums plus the online
+        # count give the online-time integral (availability_time_mean).
+        self._off_time_sum = 0.0
+        self._on_time_sum = 0.0
         first_scale = self.mean_uptime if start_online else self.mean_downtime
         self.next_flip = _exponential_dwells(generator, first_scale, self.size)
         #: Total state transitions (either direction) so far.
@@ -120,25 +131,28 @@ class DeviceCohort:
         Devices whose next flip lands inside the window are toggled in
         batch; a device flipping several times before ``t`` is handled by
         the loop (each pass re-draws its dwell and re-checks the clock).
-        Returns the number of flips processed in this step.
+        Only the first pass scans the whole cohort: a departed device
+        holds ``next_flip == inf`` and never falls due, and a later pass
+        can only find devices the previous pass re-drew, in the same
+        ascending order a full rescan would.  Returns the number of
+        flips processed in this step.
         """
+        if not math.isfinite(t):
+            raise SimulationError(
+                f"cohort {self.name!r} needs a finite time, got {t}"
+            )
         if t < self.now:
             raise SimulationError(
                 f"cohort {self.name!r} cannot rewind from {self.now} to {t}"
             )
         flips_before = self.flips
-        while True:
-            due = numpy.nonzero(~self.departed & (self.next_flip <= t))[0]
-            if due.size == 0:
-                break
+        due = numpy.flatnonzero(self.next_flip <= t)
+        while due.size:
             flip_times = self.next_flip[due]
             was_online = self.online[due]
-            # Credit online time up to the flip for devices going offline.
             going_off = due[was_online]
-            self._online_seconds[going_off] += (
-                flip_times[was_online] - self._last_update[going_off]
-            )
-            self._last_update[due] = flip_times
+            self._off_time_sum += float(flip_times[was_online].sum())
+            self._on_time_sum += float(flip_times[~was_online].sum())
             self.online[due] = ~was_online
             self.flips += int(due.size)
             self._sessions += int(due.size - going_off.size)
@@ -150,18 +164,16 @@ class DeviceCohort:
                 departing = going_off[draws < self.attrition]
                 self.departed[departing] = True
                 self.next_flip[departing] = numpy.inf
-            alive = due[~self.departed[due]]
-            if alive.size:
-                scales = numpy.where(
-                    self.online[alive], self.mean_uptime, self.mean_downtime
-                )
-                self.next_flip[alive] = flip_times[
-                    ~self.departed[due]
-                ] + _exponential_dwells(self._generator, scales, alive.size)
-                self.draws += int(alive.size)
-        still_on = numpy.nonzero(self.online)[0]
-        self._online_seconds[still_on] += t - self._last_update[still_on]
-        self._last_update[:] = t
+            stays = ~self.departed[due]
+            alive = due[stays]
+            scales = numpy.where(
+                was_online[stays], self.mean_downtime, self.mean_uptime
+            )
+            self.next_flip[alive] = flip_times[stays] + _exponential_dwells(
+                self._generator, scales, alive.size
+            )
+            self.draws += int(alive.size)
+            due = alive[self.next_flip[alive] <= t]
         self.now = float(t)
         return self.flips - flips_before
 
@@ -169,10 +181,10 @@ class DeviceCohort:
 
     def online_count(self) -> int:
         """Devices currently online (departed devices are offline)."""
-        return int(self.online.sum())
+        return int(numpy.count_nonzero(self.online))
 
     def departed_count(self) -> int:
-        return int(self.departed.sum())
+        return int(numpy.count_nonzero(self.departed))
 
     def sessions(self) -> int:
         """Total offline->online transitions, summed over the cohort."""
@@ -187,7 +199,11 @@ class DeviceCohort:
         """
         if self.now <= 0:
             return 1.0 if bool(self.online.all()) else 0.0
-        return float(self._online_seconds.sum() / (self.size * self.now))
+        online_seconds = (
+            self._off_time_sum - self._on_time_sum
+            + self.now * self.online_count()
+        )
+        return online_seconds / (self.size * self.now)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -211,8 +227,8 @@ class CohortEngine:
     """
 
     def __init__(self, tick: float, metrics: Optional[Metrics] = None):
-        if tick <= 0:
-            raise SimulationError(f"tick must be positive: {tick}")
+        if not (math.isfinite(tick) and tick > 0):
+            raise SimulationError(f"tick must be finite and positive: {tick}")
         if metrics is None:
             observation = _active_observation()
             if observation is not None:
@@ -246,6 +262,8 @@ class CohortEngine:
         (including a final partial tick landing exactly on ``until``), so
         sampling code sees a mutually consistent population snapshot.
         """
+        if not math.isfinite(until):
+            raise SimulationError(f"cannot run to a non-finite time: {until}")
         if until < self.now:
             raise SimulationError(
                 f"cannot run backwards: now={self.now}, until={until}"

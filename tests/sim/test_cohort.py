@@ -2,6 +2,7 @@
 
 import math
 
+import numpy
 import pytest
 
 from repro.errors import SimulationError
@@ -36,11 +37,44 @@ class TestDeviceCohortValidation:
         with pytest.raises(SimulationError):
             make_cohort(attrition=-0.1)
 
+    @pytest.mark.parametrize("mean", [math.nan, math.inf])
+    def test_dwell_means_must_be_finite(self, mean):
+        with pytest.raises(SimulationError):
+            make_cohort(up=mean)
+        with pytest.raises(SimulationError):
+            make_cohort(down=mean)
+
     def test_rewind_rejected(self):
         cohort = make_cohort()
         cohort.advance_to(100.0)
         with pytest.raises(SimulationError):
             cohort.advance_to(50.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_advance_rejected(self, t):
+        cohort = make_cohort()
+        cohort.advance_to(100.0)
+        with pytest.raises(SimulationError):
+            cohort.advance_to(t)
+        assert cohort.now == 100.0
+        # The clock is untouched, so the rewind check still fires.
+        with pytest.raises(SimulationError):
+            cohort.advance_to(50.0)
+
+
+class TestDeviceCohortMemory:
+    def test_ten_bytes_of_array_state_per_device(self):
+        # online and departed (bool) plus next_flip (float64); the
+        # online-time integral is two scalars, not two arrays.
+        size = 1000
+        cohort = make_cohort(size=size, up=10.0, down=10.0, attrition=0.2)
+        cohort.advance_to(500.0)
+        arrays = {
+            name: value for name, value in vars(cohort).items()
+            if isinstance(value, numpy.ndarray)
+        }
+        assert sorted(arrays) == ["departed", "next_flip", "online"]
+        assert sum(a.nbytes for a in arrays.values()) == 10 * size
 
 
 class TestDeviceCohortDynamics:
@@ -122,6 +156,20 @@ class TestCohortEngine:
     def test_tick_must_be_positive(self):
         with pytest.raises(SimulationError):
             CohortEngine(tick=0.0)
+
+    @pytest.mark.parametrize("tick", [math.nan, math.inf])
+    def test_tick_must_be_finite(self, tick):
+        with pytest.raises(SimulationError):
+            CohortEngine(tick=tick)
+
+    @pytest.mark.parametrize("until", [math.nan, math.inf])
+    def test_non_finite_until_rejected(self, until):
+        engine = CohortEngine(tick=50.0)
+        cohort = engine.add(make_cohort())
+        with pytest.raises(SimulationError):
+            engine.run(until)
+        assert engine.now == 0.0 and engine.ticks == 0
+        assert cohort.now == 0.0
 
     def test_add_rejects_advanced_cohort(self):
         engine = CohortEngine(tick=10.0)

@@ -133,6 +133,42 @@ class TestShardEngineCommand:
         assert "E6S" in out
 
 
+class TestCohortEngineCommand:
+    @pytest.mark.parametrize("name", ["E3", "E4", "E5", "E9"])
+    @pytest.mark.parametrize("devices", ["0", "-1"])
+    def test_nonpositive_device_count_rejected(self, capsys, name, devices):
+        assert main([
+            "sweep", name, "--engine", "cohort", "--devices", devices,
+            "--no-cache",
+        ]) == 2
+        assert f"--devices must be >= 1, got {devices}" in (
+            capsys.readouterr().err
+        )
+
+    def test_e9_needs_one_object_per_replication_factor(self, capsys):
+        assert main([
+            "sweep", "E9", "--engine", "cohort", "--devices", "3",
+            "--no-cache",
+        ]) == 2
+        assert "E9 cohort needs at least 4 devices" in capsys.readouterr().err
+
+    def test_e3_needs_one_device_per_fleet_class(self, capsys):
+        assert main([
+            "sweep", "E3", "--engine", "cohort", "--devices", "2",
+            "--no-cache",
+        ]) == 2
+        assert "E3 cohort needs at least 3 devices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, devices", [("E3", "3"), ("E9", "4")])
+    def test_smallest_splittable_population_runs(self, capsys, name,
+                                                 devices):
+        assert main([
+            "sweep", name, "--engine", "cohort", "--devices", devices,
+            "--no-cache",
+        ]) == 0
+        assert "cache_misses" in capsys.readouterr().out
+
+
 class TestVerifyCommand:
     def test_verify_passes_and_exits_zero(self, capsys):
         assert main(["verify"]) == 0
