@@ -23,6 +23,7 @@ the benchmarks run the calibrated versions.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Dict, List
 
@@ -116,10 +117,6 @@ _SWEEPABLE: Dict[str, Callable[..., object]] = {}
 # driver default.
 _SWEEPABLE_COHORT: Dict[str, Callable[..., object]] = {}
 
-# The subset with a space-partitioned shard-engine variant
-# (--engine shard --shards K); lambdas take (runner, seed, shards).
-_SWEEPABLE_SHARD: Dict[str, Callable[..., object]] = {}
-
 
 def _register_sweeps() -> None:
     from repro.analysis import (
@@ -178,21 +175,6 @@ def _register_sweeps() -> None:
             seed=seed, runner=runner, **_devices_kwargs(devices)),
     })
 
-    from repro.analysis import (
-        run_federation_availability_shard,
-        run_registration_shard_smoke,
-        run_social_tradeoff_shard,
-    )
-
-    _SWEEPABLE_SHARD.update({
-        "E4": lambda runner, seed, shards: run_federation_availability_shard(
-            seed=seed, shards=shards, runner=runner),
-        "E5": lambda runner, seed, shards: run_social_tradeoff_shard(
-            seed=seed, shards=shards, runner=runner),
-        "E6S": lambda runner, seed, shards: run_registration_shard_smoke(
-            seed=seed, shards=shards, runner=runner),
-    })
-
 
 def _sweep(args) -> int:
     from repro.analysis import SweepCache, SweepRunner
@@ -210,23 +192,6 @@ def _sweep(args) -> int:
                   file=sys.stderr)
             return 2
         driver = lambda runner, seed: cohort_driver(runner, seed, args.devices)
-        if args.shards is not None:
-            print("--shards requires --engine shard", file=sys.stderr)
-            return 2
-    elif args.engine == "shard":
-        shard_driver = _SWEEPABLE_SHARD.get(args.name.upper())
-        if shard_driver is None:
-            print(f"no shard engine for {args.name!r}; shard-sweepable:"
-                  f" {', '.join(sorted(_SWEEPABLE_SHARD))}", file=sys.stderr)
-            return 2
-        shards = 2 if args.shards is None else args.shards
-        if shards < 1:
-            print(f"--shards must be >= 1, got {shards}", file=sys.stderr)
-            return 2
-        driver = lambda runner, seed: shard_driver(runner, seed, shards)
-        if args.devices is not None:
-            print("--devices requires --engine cohort", file=sys.stderr)
-            return 2
     else:
         driver = _SWEEPABLE.get(args.name.upper())
         if driver is None:
@@ -235,9 +200,6 @@ def _sweep(args) -> int:
             return 2
         if args.devices is not None:
             print("--devices requires --engine cohort", file=sys.stderr)
-            return 2
-        if args.shards is not None:
-            print("--shards requires --engine shard", file=sys.stderr)
             return 2
     if args.chunksize < 1:
         print(f"--chunksize must be >= 1, got {args.chunksize}",
@@ -249,6 +211,15 @@ def _sweep(args) -> int:
 
         metrics = Metrics()
     cache = None if args.no_cache else SweepCache(args.cache_dir)
+    if cache is not None:
+        # Probe before the work: an unusable directory (a regular file,
+        # or a path under one) would otherwise fail at the first store.
+        try:
+            cache.cache_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"sweep: cannot use cache directory {cache.cache_dir}:"
+                  f" {exc.strerror}", file=sys.stderr)
+            return 2
     runner = SweepRunner(workers=args.workers, cache=cache,
                          chunksize=args.chunksize, metrics=metrics)
     try:
@@ -319,17 +290,13 @@ def main(argv: List[str] = None) -> int:
                            help="grid points per worker dispatch")
     sweep_cmd.add_argument("--metrics", action="store_true",
                            help="record and print an obs metrics summary")
-    sweep_cmd.add_argument("--engine", choices=("process", "cohort", "shard"),
+    sweep_cmd.add_argument("--engine", choices=("process", "cohort"),
                            default="process",
-                           help="per-process event engine (default), the"
-                                " vectorized cohort engine, or the"
-                                " space-partitioned shard engine")
+                           help="per-process event engine (default) or the"
+                                " vectorized cohort engine")
     sweep_cmd.add_argument("--devices", type=int, default=None,
                            help="cohort population size (cohort engine only;"
                                 " default: driver-specific)")
-    sweep_cmd.add_argument("--shards", type=int, default=None,
-                           help="shard count K (shard engine only;"
-                                " default: 2)")
     trace_cmd = sub.add_parser(
         "trace",
         help="run an experiment under tracing; write a JSONL trace",
@@ -361,7 +328,21 @@ def main(argv: List[str] = None) -> int:
 
     add_bench_arguments(bench_cmd)
     args = parser.parse_args(argv)
+    try:
+        status = _dispatch(parser, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. ``| head -1``).  Point the fd at
+        # devnull so the interpreter's exit-time flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return status
 
+
+def _dispatch(parser: argparse.ArgumentParser,
+              args: argparse.Namespace) -> int:
     if args.command == "table1":
         _table1()
     elif args.command == "table2":
@@ -410,8 +391,6 @@ def main(argv: List[str] = None) -> int:
               f" {' '.join(sorted(_SWEEPABLE))}")
         print("cohort engine (python -m repro sweep <id> --engine cohort"
               f" --devices N): {' '.join(sorted(_SWEEPABLE_COHORT))}")
-        print("shard engine (python -m repro sweep <id> --engine shard"
-              f" --shards K): {' '.join(sorted(_SWEEPABLE_SHARD))}")
         from repro.faults import PRESETS, SCENARIOS
 
         print("chaos (python -m repro chaos <id> --plan <preset>):"

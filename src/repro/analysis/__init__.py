@@ -21,12 +21,6 @@ from repro.analysis.experiments import (
     run_swarm_availability,
 )
 from repro.analysis.figures import ascii_plot, sparkline
-from repro.analysis.shard_driver import (
-    run_federation_availability_shard,
-    run_registration_shard_smoke,
-    run_shard_chaos,
-    run_social_tradeoff_shard,
-)
 from repro.analysis.runner import (
     RunnerStats,
     SweepCache,
@@ -66,9 +60,5 @@ __all__ = [
     "run_social_tradeoff_cohort",
     "run_quality_vs_quantity_cohort",
     "run_feasibility_cohort",
-    "run_federation_availability_shard",
-    "run_social_tradeoff_shard",
-    "run_registration_shard_smoke",
-    "run_shard_chaos",
     "run_censorship_sweep",
 ]

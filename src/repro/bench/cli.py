@@ -136,6 +136,9 @@ def run_bench_command(args: Any) -> int:
             report: Optional[Dict[str, Any]] = None
         else:
             suite = None if args.suite == "all" else args.suite
+            # Load the baseline before running, so an unreadable one
+            # fails in milliseconds instead of after the whole suite.
+            old = _load_report(args.compare[0]) if args.compare else None
             results = run_suite(
                 suite=suite,
                 repetitions=args.repetitions,
@@ -151,7 +154,6 @@ def run_bench_command(args: Any) -> int:
             if args.out is not None:
                 with open(args.out, "w", encoding="utf-8") as handle:
                     handle.write(render_bench_json(report) + "\n")
-            old = _load_report(args.compare[0]) if args.compare else None
             if old is not None and (suite is not None
                                     or args.name_filter is not None):
                 total = len(old.get("benchmarks", []))

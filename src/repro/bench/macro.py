@@ -38,7 +38,6 @@ __all__ = [
     "bench_chaos_quiet_plan",
     "bench_e4_cohort_100k",
     "bench_e4_federation_scaling",
-    "bench_e4_shard_4x",
     "bench_e5_churn_tradeoff",
     "bench_e6_registration_sweep",
     "bench_sweep_cold_warm_cache",
@@ -69,17 +68,6 @@ def bench_e4_cohort_100k(metrics: Metrics) -> None:
 
     with observe(metrics=metrics):
         run_federation_availability_cohort(seed=7, devices=100_000)
-
-
-@register_benchmark(
-    "macro.e4_shard_4x", "macro",
-    "E4 federation availability on the shard engine at K=4",
-)
-def bench_e4_shard_4x(metrics: Metrics) -> None:
-    from repro.analysis.shard_driver import run_federation_availability_shard
-
-    with observe(metrics=metrics):
-        run_federation_availability_shard(seed=7, shards=4)
 
 
 @register_benchmark(

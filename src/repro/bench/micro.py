@@ -29,7 +29,6 @@ __all__ = [
     "bench_lint_index",
     "bench_rng_stream_draw",
     "bench_rpc_roundtrip",
-    "bench_shard_sync",
     "bench_transport_send_deliver",
 ]
 
@@ -45,9 +44,6 @@ _HIST_SHARDS = 6
 _HIST_OBSERVATIONS_PER_SHARD = 1500
 _LINT_HELPERS = 12
 _LINT_SIM_MODULES = 84
-_SHARD_NODES = 6
-_SHARD_HOPS = 40
-_SHARD_COUNT = 2
 
 
 def _noop() -> None:
@@ -104,66 +100,6 @@ def bench_rpc_roundtrip(metrics: Metrics) -> None:
             yield from network.rpc("client", "server", "echo", payload=i)
 
     sim.run_process(client(sim, network), name="bench.rpc_client")
-
-
-def _shard_token_workload() -> Any:
-    """A token ring across shards: every hop is a barrier crossing
-    candidate, so the body is dominated by the sync loop itself."""
-    from repro.net.latency import ConstantLatency
-    from repro.sim.shard import Shard, ShardWorkload
-
-    ids = tuple(f"r{i}" for i in range(_SHARD_NODES))
-
-    def build(shard: Shard) -> None:
-        network, sim = shard.network, shard.sim
-        hops = {"count": 0}
-        shard.state["hops"] = hops
-
-        def on_token(node: Node, payload: Any, sender_id: str) -> None:
-            hops["count"] += 1
-            if payload["ttl"] > 0:
-                index = ids.index(node.node_id)
-                network.send(node.node_id, ids[(index + 1) % len(ids)],
-                             "token", {"ttl": payload["ttl"] - 1})
-
-        for node_id in ids:
-            node = network.add_node(Node(node_id))
-            node.register_handler("token", on_token)
-        for i, node_id in enumerate(ids):
-            if shard.owns(node_id):
-                sim.schedule_at(
-                    1.0 + 0.1 * i, network.send, node_id,
-                    ids[(i + 1) % len(ids)], "token", {"ttl": _SHARD_HOPS},
-                )
-
-    return ShardWorkload(
-        name="bench_token_ring",
-        node_ids=ids,
-        build=build,
-        collect=lambda shard: {"hops": shard.state["hops"]["count"]},
-        latency_factory=lambda streams: ConstantLatency(0.05),
-        horizon=60.0,
-    )
-
-
-@register_benchmark(
-    "micro.shard.sync", "micro",
-    "conservative-lookahead barrier rounds over a cross-shard token ring",
-)
-def bench_shard_sync(metrics: Metrics) -> None:
-    from repro.sim.shard import ShardedSimulator
-
-    coordinator = ShardedSimulator(
-        _shard_token_workload, shards=_SHARD_COUNT, seed=4001,
-        metrics=metrics,
-    )
-    results = coordinator.run()
-    # Integer work counters double as a barrier-protocol checksum: any
-    # change to windowing or envelope ordering moves them.
-    metrics.inc("bench.shard_hops", sum(r["hops"] for r in results))
-    metrics.inc("bench.shard_rounds", coordinator.sync_rounds)
-    metrics.inc("bench.shard_crossed", coordinator.router.messages_crossed)
-    metrics.inc("bench.shard_stalls", coordinator.horizon_stalls)
 
 
 @register_benchmark(

@@ -35,28 +35,10 @@ class LatencyModel:
     (build it with :func:`repro.sim.rng.seeded_generator`) rather than
     the model's own scalar stream, so the batch path never perturbs the
     per-message draw sequence.
-
-    :meth:`propagation_bounds` exposes the support of the propagation
-    distribution.  The sharded engine (:mod:`repro.sim.shard`) derives
-    its conservative lookahead from the lower bound: any cross-shard
-    message takes at least that long, so a shard may safely advance that
-    far past the synchronization barrier.  A model whose lower bound is
-    zero (e.g. :class:`LogNormalLatency`) cannot drive sharding.
     """
 
     def propagation_delay(self, src: Node, dst: Node) -> float:
         raise NotImplementedError
-
-    def propagation_bounds(self) -> Tuple[float, float]:
-        """``(lo, hi)`` bounds of the propagation delay distribution.
-
-        ``hi`` may be ``math.inf`` for unbounded tails.  Serialization
-        delay is additive and non-negative, so ``lo`` also lower-bounds
-        the total :meth:`delay`.
-        """
-        raise NetworkError(
-            f"{type(self).__name__} has no propagation bounds"
-        )
 
     def sample_propagation_delays(
         self, generator: "numpy.random.Generator", n: int
@@ -85,9 +67,6 @@ class ConstantLatency(LatencyModel):
 
     def propagation_delay(self, src: Node, dst: Node) -> float:
         return self.seconds
-
-    def propagation_bounds(self) -> Tuple[float, float]:
-        return (self.seconds, self.seconds)
 
     def sample_propagation_delays(
         self, generator: "numpy.random.Generator", n: int
@@ -124,9 +103,6 @@ class UniformLatency(LatencyModel):
             )
         return self._rng.uniform(self.lo, self.hi)
 
-    def propagation_bounds(self) -> Tuple[float, float]:
-        return (self.lo, self.hi)
-
     def sample_propagation_delays(
         self, generator: "numpy.random.Generator", n: int
     ) -> Any:
@@ -160,11 +136,6 @@ class LogNormalLatency(LatencyModel):
                 " sample_propagation_delays"
             )
         return self._rng.lognormvariate(self.mu, self.sigma)
-
-    def propagation_bounds(self) -> Tuple[float, float]:
-        # The lognormal support is (0, inf): no positive lower bound, so
-        # this model cannot provide a sharding lookahead.
-        return (0.0, math.inf)
 
     def sample_propagation_delays(
         self, generator: "numpy.random.Generator", n: int
@@ -214,14 +185,6 @@ class PlanetLatency(LatencyModel):
         (x1, y1), (x2, y2) = self._coord(src), self._coord(dst)
         distance = math.hypot(x2 - x1, y2 - y1) / math.sqrt(2.0)
         return 2 * self.access_hop_seconds + distance * self.diameter_seconds
-
-    def propagation_bounds(self) -> Tuple[float, float]:
-        # Distinct nodes always pay both access hops; coordinates on the
-        # normalized unit square cap distance at the diameter.
-        return (
-            2 * self.access_hop_seconds,
-            2 * self.access_hop_seconds + self.diameter_seconds,
-        )
 
     def sample_propagation_delays(
         self, generator: "numpy.random.Generator", n: int

@@ -39,11 +39,6 @@ kind                 emitted by
 ``invariant_checked`` one :class:`repro.faults.InvariantHarness` sweep
                      (``checked``/``violated`` counts)
 ``invariant_violated`` a single invariant failure (``name``, ``message``)
-``shard_sync``       :class:`repro.sim.shard.ShardedSimulator`, one per
-                     synchronization barrier (``round``, ``envelopes``,
-                     ``stalls``)
-``shard_envelope``   one cross-shard envelope injected at a barrier
-                     (``arrival``, ``src``, ``dst``, ``origin_shard``)
 ==================== =====================================================
 """
 

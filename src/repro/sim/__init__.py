@@ -8,9 +8,6 @@ Public surface:
 * :class:`RngStreams` — named deterministic randomness.
 * :class:`DeviceCohort`, :class:`CohortEngine` — the vectorized batch
   engine for population-scale (10^5-10^6 device) experiments.
-* :class:`ShardedSimulator`, :class:`ShardWorkload`,
-  :func:`run_single_process` — the space-partitioned shard engine
-  (conservative-lookahead synchronization; ``docs/SCALING.md``).
 * :class:`Monitor`, :class:`Counter`, :class:`Sampler`,
   :class:`TimeWeightedGauge` — measurement.
 """
@@ -27,15 +24,11 @@ from repro.sim.engine import (
 )
 from repro.sim.monitor import Counter, Monitor, Sampler, TimeWeightedGauge, summarize
 from repro.sim.rng import RngStreams, derive_seed, seeded_generator, seeded_rng
-from repro.sim.shard import ShardedSimulator, ShardWorkload, run_single_process
 
 __all__ = [
     "Simulator",
     "CohortEngine",
     "DeviceCohort",
-    "ShardedSimulator",
-    "ShardWorkload",
-    "run_single_process",
     "seeded_generator",
     "Process",
     "Signal",

@@ -39,6 +39,16 @@ class TestExitCodes:
         assert code == 2
         assert "cannot read report" in capsys.readouterr().err
 
+    def test_missing_baseline_fails_before_running(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        code = main(["bench", "--suite", "micro", *FAST, "--out", str(out),
+                     "--compare", str(tmp_path / "absent.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot read report" in err
+        assert "bench: running" not in err
+        assert not out.exists()
+
     def test_invalid_baseline_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": 99}')

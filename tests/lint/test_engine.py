@@ -22,7 +22,6 @@ EXPECTED_FIXTURE_RULES = {
     "api001_all_mismatch.py": {"API001"},
     "bench/ben001_timed_body.py": {"BEN001"},
     "flt001_direct_mutation.py": {"FLT001"},
-    "shd001_cross_shard_mutation.py": {"SHD001"},
 }
 
 # Multi-file fixtures: each file is clean in isolation — the violation
@@ -59,7 +58,7 @@ class TestFixtures:
         assert found_rules == {
             "DET001", "DET002", "DET003", "DET004", "DET005", "DET006",
             "ORD001", "IMP001", "PAR001", "ERR001", "API001", "FLT001",
-            "BEN001", "SHD001",
+            "BEN001",
         }
 
     def test_findings_sorted_by_path_then_line(self):

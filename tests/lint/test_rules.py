@@ -478,66 +478,3 @@ class TestBEN001:
                "def bench_x(metrics):\n"
                "    t = time.perf_counter()  # repro: noqa[BEN001]\n")
         assert rule_ids(src, path=BENCH_PATH) == []
-
-
-class TestSHD001:
-    def test_outbox_assignment_flagged(self):
-        src = """
-        def smuggle(network):
-            network._shard_outbox = []
-        """
-        assert rule_ids(src) == ["SHD001"]
-
-    def test_assignment_map_and_transit_flagged(self):
-        src = """
-        def rewire(network, router):
-            network._shard_assignment = {"a": 0}
-            router._envelopes_in_transit = []
-        """
-        assert rule_ids(src) == ["SHD001", "SHD001"]
-
-    def test_aug_and_annotated_assignments_flagged(self):
-        assert "SHD001" in rule_ids("def f(n):\n    n._shard_seq += 1\n")
-        assert "SHD001" in rule_ids(
-            "def f(n):\n    n._shard_outbox: list = []\n"
-        )
-
-    def test_injection_call_flagged(self):
-        src = """
-        def shortcut(network, envelope):
-            network._inject_envelope(envelope)
-        """
-        assert rule_ids(src) == ["SHD001"]
-
-    def test_take_outbox_call_flagged(self):
-        src = """
-        def steal(network):
-            return network._take_outbox()
-        """
-        assert rule_ids(src) == ["SHD001"]
-
-    def test_shard_module_exempt(self):
-        src = """
-        class ShardNetwork:
-            def __init__(self):
-                self._shard_outbox = []
-
-            def barrier(self, envelope):
-                self._inject_envelope(envelope)
-        """
-        assert rule_ids(src, path="src/repro/sim/shard.py") == []
-
-    def test_public_shard_api_clean(self):
-        src = """
-        def drive(coordinator, network, router):
-            network.send("a", "b", "ping", {})
-            router.collect([])
-            router.drain()
-            return coordinator.run()
-        """
-        assert rule_ids(src) == []
-
-    def test_noqa_suppression(self):
-        src = ("def f(n):\n"
-               "    n._shard_outbox = []  # repro: noqa[SHD001]\n")
-        assert rule_ids(src) == []

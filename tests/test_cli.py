@@ -1,8 +1,15 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestCli:
@@ -55,6 +62,23 @@ class TestCli:
         assert main([]) == 1
         assert "Regenerate artifacts" in capsys.readouterr().out
 
+    def test_closed_stdout_exits_without_traceback(self):
+        # The reader is gone before the first write, as with ``| head``
+        # once it has its lines.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "table1"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert result.stderr == ""
+        assert result.returncode == 1
+
 
 class TestSweepCommand:
     def test_sweep_cold_then_warm_cache(self, capsys, tmp_path):
@@ -89,48 +113,14 @@ class TestSweepCommand:
         assert main(["list"]) == 0
         assert "sweepable" in capsys.readouterr().out
 
-
-class TestShardEngineCommand:
-    def test_sweep_e4_on_shard_engine(self, capsys):
-        assert main([
-            "sweep", "E4", "--engine", "shard", "--shards", "4",
-            "--no-cache",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "replicated_failover" in out
-        assert "messages_crossed" in out
-
-    def test_shard_count_defaults_to_two(self, capsys):
-        assert main([
-            "sweep", "E6S", "--engine", "shard", "--no-cache",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "registration-partition" in out
-
-    def test_shards_flag_requires_shard_engine(self, capsys):
-        assert main(["sweep", "E4", "--shards", "2", "--no-cache"]) == 2
-        assert "--shards requires --engine shard" in (
-            capsys.readouterr().err
-        )
-
-    def test_invalid_shard_count_rejected(self, capsys):
-        assert main([
-            "sweep", "E4", "--engine", "shard", "--shards", "0",
-            "--no-cache",
-        ]) == 2
-        assert "--shards must be >= 1" in capsys.readouterr().err
-
-    def test_unsharded_experiment_rejected(self, capsys):
-        assert main([
-            "sweep", "E8", "--engine", "shard", "--no-cache",
-        ]) == 2
-        assert "no shard engine" in capsys.readouterr().err
-
-    def test_list_mentions_shard_engine(self, capsys):
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "--engine shard" in out
-        assert "E6S" in out
+    def test_unusable_cache_dir_exits_two(self, capsys, tmp_path):
+        not_a_dir = tmp_path / "cache"
+        not_a_dir.write_text("")
+        assert main(["sweep", "E3", "--cache-dir", str(not_a_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("sweep: ") and str(not_a_dir) in line
 
 
 class TestCohortEngineCommand:
