@@ -86,7 +86,7 @@ def _return_payload(node: Node, payload: Any, sender_id: str) -> Any:
 
 @register_benchmark(
     "micro.transport.rpc_roundtrip", "micro",
-    "request/response RPC round-trips through AnyOf(response, timeout)",
+    "request/response RPC round-trips (request leg, timer, response leg)",
 )
 def bench_rpc_roundtrip(metrics: Metrics) -> None:
     sim = Simulator(metrics=metrics)

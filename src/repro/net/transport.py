@@ -14,6 +14,11 @@ Two primitives:
   a generator (which is spawned as a process, letting servers model work
   that itself takes simulated time or performs nested RPCs).  Pass
   ``retries=N`` to re-issue a timed-out request up to N more times.
+  Each attempt is one slotted call object that is at once the caller's
+  wait, the response target and the timeout callback; the response
+  arrival or the timer resumes the caller directly, so an answered
+  attempt costs three engine events (request leg, a timer that gets
+  cancelled, response leg) and a timed-out one two.
 
 Observability: the network shares its :class:`Simulator`'s tracer and
 metrics (see :mod:`repro.obs`).  When active, every message leg emits a
@@ -50,10 +55,14 @@ continuously (``sent == delivered + dropped + in_flight``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Iterable, List, Optional, TYPE_CHECKING
+from typing import (
+    Any, Callable, Dict, Generator, Iterable, List, Optional, TYPE_CHECKING,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; draws stay stream-derived
     import random  # repro: noqa[DET001]
+
+    from repro.sim.engine import Process, _ScheduledEvent
 
 from repro.errors import (
     NetworkError,
@@ -63,7 +72,7 @@ from repro.errors import (
 )
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.node import Node, NodeClass
-from repro.sim.engine import AnyOf, Signal, Simulator, Timeout
+from repro.sim.engine import CancelFn, Simulator, _Waitable
 from repro.sim.monitor import Monitor
 from repro.sim.rng import RngStreams
 
@@ -253,6 +262,83 @@ class _RpcFault:
 
     def __init__(self, error: Exception):
         self.error = error
+
+
+#: What a timed-out call resumes its caller with; never a handler value.
+_TIMED_OUT = object()
+
+
+class _RpcCall(_Waitable):
+    """One RPC attempt in flight: the caller's wait, the response target
+    and the timeout callback in one slotted object.
+
+    ``yield call`` subscribes the caller: the call keeps the caller's
+    bound ``_resume`` and schedules its timer right after the request
+    leg, so the timer precedes any response due at the same instant and
+    wins the tie.  The engine event that decides the call resumes the
+    caller directly: the response arrival (:meth:`resolve`; the
+    caller's ``_resume`` first calls :meth:`cancel`, which tombstones
+    the timer) or the timer (:meth:`expire`, resuming with
+    ``_TIMED_OUT``).  Once settled — answered, timed out, or left by an
+    interrupted caller through :meth:`cancel` — whatever reaches the
+    call later is a no-op.
+
+    In flight (request sent, no response yet) the call and its caller
+    process hold at most 17 GC-tracked objects (the budget in
+    ``tests/net/test_transport_legs.py``).
+    """
+
+    __slots__ = ("network", "src", "dst", "size_bytes", "response_bytes",
+                 "timeout", "resume", "timer")
+
+    def __init__(
+        self,
+        network: "Network",
+        src: Node,
+        dst: Node,
+        size_bytes: int,
+        response_bytes: int,
+        timeout: float,
+    ):
+        self.network = network
+        self.src = src
+        self.dst = dst
+        self.size_bytes = size_bytes
+        self.response_bytes = response_bytes
+        self.timeout = timeout
+        self.resume: Optional[Callable[[Any], None]] = None
+        self.timer: Optional["_ScheduledEvent"] = None
+
+    def _subscribe(self, sim: Simulator, process: "Process") -> CancelFn:
+        self.resume = process._resume
+        self.timer = sim.schedule(self.timeout, self.expire)
+        return self.cancel
+
+    def resolve(self, value: Any) -> None:
+        """The response arrived: resume the caller if it still waits."""
+        resume = self.resume
+        if resume is not None:
+            resume(value)
+
+    def expire(self) -> None:
+        """The timer fired: resume the caller if it still waits."""
+        resume = self.resume
+        if resume is not None:
+            self.timer = None  # popped: nothing left to cancel
+            resume(_TIMED_OUT)
+
+    def reply(self, value: Any) -> None:
+        """A generator handler finished: send its value back."""
+        self.network._rpc_respond(self.src, self.dst, value,
+                                  self.response_bytes, self)
+
+    def cancel(self) -> None:
+        """Settle the call as its caller leaves the wait (idempotent)."""
+        self.resume = None
+        timer = self.timer
+        if timer is not None:
+            self.timer = None
+            timer.cancel()
 
 
 class Network:
@@ -483,6 +569,8 @@ class Network:
         """
         if retries < 0:
             raise NetworkError(f"retries must be >= 0, got {retries}")
+        if timeout < 0:
+            raise NetworkError(f"negative rpc timeout: {timeout}")
         if size_bytes < 0 or response_bytes < 0:
             raise NetworkError(
                 f"negative message size: size_bytes={size_bytes},"
@@ -523,7 +611,7 @@ class Network:
         if self._metrics is not None:
             self._metrics.inc("net.rpcs_sent")
         start = self.sim.now
-        done: Signal = self.sim.signal(f"rpc:{src_id}->{dst_id}:{method}")
+        call = _RpcCall(self, src, dst, size_bytes, response_bytes, timeout)
 
         self._flow_sent += 1
         faults = self._faults
@@ -531,8 +619,9 @@ class Network:
                  and self._loss_rng.random() < self.loss_rate) or (
                 faults is not None and faults.drop_prob > 0
                 and faults.drop_rng.random() < faults.drop_prob)):
-            self._msg_event("msg_send", src_id, dst_id, method, size_bytes,
-                            leg="rpc_request")
+            if self._tracer is not None or self._metrics is not None:
+                self._msg_event("msg_send", src_id, dst_id, method,
+                                size_bytes, leg="rpc_request")
             request_delay = self.latency.delay(src, dst, size_bytes)
             if faults is not None and faults.latency_factor != 1.0:
                 request_delay *= faults.latency_factor
@@ -545,18 +634,18 @@ class Network:
                 method,
                 payload,
                 response_bytes,
-                done,
+                call,
             )
         else:
             self._drop("messages_lost", src_id, dst_id, method, size_bytes,
                        "loss", "rpc_request")
 
-        # The AnyOf winner cancels the loser: on response, the timeout's
-        # heap entry is invalidated (the queue does not stay hot for
-        # ``timeout`` seconds); on timeout, the ``done`` waiter is pruned
-        # so a late response fires into an empty signal.
-        index, value = yield AnyOf([done, Timeout(timeout)])
-        if index == 1:
+        # Yielding the call schedules its timer.  A response cancels the
+        # timer, so the queue does not stay hot for ``timeout`` seconds;
+        # after a timeout the call is settled and a late response to it
+        # is a no-op.
+        value = yield call
+        if value is _TIMED_OUT:
             self.monitor.counters.increment("rpcs_timed_out")
             self._rpc_span(start, src_id, dst_id, method, "timeout", attempt)
             raise RpcTimeoutError(
@@ -598,49 +687,51 @@ class Network:
         method: str,
         payload: Any,
         response_bytes: int,
-        done: Signal,
+        call: _RpcCall,
     ) -> None:
+        """Arrival of an RPC request at ``dst``, scheduled by
+        :meth:`_rpc_attempt`; the same arrival checks, in the same order,
+        as :meth:`_deliver`.  A dropped request is accounted like any
+        dropped leg, at the request's size, and its caller times out."""
         self._flow_in_flight -= 1
+        src_id, dst_id = src.node_id, dst.node_id
         if not dst.online:
-            self.monitor.counters.increment("messages_to_offline")
-            self._flow_dropped += 1
-            return  # caller times out
+            self._drop("messages_to_offline", src_id, dst_id, method,
+                       call.size_bytes, "offline", "rpc_request")
+            return
         if (self._censor is not None
-                and self._censored(src.node_id, dst.node_id, method)):
-            self._drop(None, src.node_id, dst.node_id, method, 0, "censor",
-                       "rpc_request")
-            return  # caller times out
+                and self._censored(src_id, dst_id, method)):
+            self._drop(None, src_id, dst_id, method, call.size_bytes,
+                       "censor", "rpc_request")
+            return
         if ((self._partition is not None or self._censor is not None)
-                and not self.can_reach(src.node_id, dst.node_id)):
-            self.monitor.counters.increment("messages_partitioned")
-            self._flow_dropped += 1
-            return  # caller times out
+                and not self.can_reach(src_id, dst_id)):
+            self._drop("messages_partitioned", src_id, dst_id, method,
+                       call.size_bytes, "partition", "rpc_request")
+            return
         faults = self._faults
         if (faults is not None and faults.corrupt_prob > 0
                 and faults.corrupt_rng.random() < faults.corrupt_prob):
-            self._drop("messages_corrupted", src.node_id, dst.node_id, method,
-                       0, "corrupt", "rpc_request")
-            return  # caller times out
+            self._drop("messages_corrupted", src_id, dst_id, method,
+                       call.size_bytes, "corrupt", "rpc_request")
+            return
         self._flow_delivered += 1
         try:
-            result = dst.dispatch(method, payload, src.node_id)
+            result = dst.dispatch(method, payload, src_id)
         except ReproError as exc:
-            self._rpc_respond(src, dst, _RpcFault(exc), response_bytes, done)
+            self._rpc_respond(src, dst, _RpcFault(exc), response_bytes, call)
             return
         if result is not None and _is_generator(result):
             process = self.sim.spawn(
-                _faults_to_value(result), name=f"{dst.node_id}.{method}"
+                _faults_to_value(result), name=f"{dst_id}.{method}"
             )
-
-            def on_complete(value: Any) -> None:
-                self._rpc_respond(src, dst, value, response_bytes, done)
-
-            process.completion._subscribe_callback(self.sim, on_complete)
+            process.completion._subscribe_callback(self.sim, call.reply)
         else:
-            self._rpc_respond(src, dst, result, response_bytes, done)
+            self._rpc_respond(src, dst, result, response_bytes, call)
 
     def _rpc_respond(
-        self, src: Node, dst: Node, value: Any, response_bytes: int, done: Signal
+        self, src: Node, dst: Node, value: Any, response_bytes: int,
+        call: _RpcCall,
     ) -> None:
         """Send the response back from dst to src."""
         if not dst.online:
@@ -655,18 +746,19 @@ class Network:
             self._drop("messages_lost", dst.node_id, src.node_id, "response",
                        response_bytes, "loss", "rpc_response")
             return
-        self._msg_event("msg_send", dst.node_id, src.node_id, "response",
-                        response_bytes, leg="rpc_response")
+        if self._tracer is not None or self._metrics is not None:
+            self._msg_event("msg_send", dst.node_id, src.node_id, "response",
+                            response_bytes, leg="rpc_response")
         delay = self.latency.delay(dst, src, response_bytes)
         if faults is not None and faults.latency_factor != 1.0:
             delay *= faults.latency_factor
         self._flow_in_flight += 1
         self.sim.schedule(delay, self._deliver_response, src, dst, value,
-                          response_bytes, done)
+                          response_bytes, call)
 
     def _deliver_response(
         self, src: Node, dst: Node, value: Any, response_bytes: int,
-        done: Signal,
+        call: _RpcCall,
     ) -> None:
         """Arrival of an RPC response at the caller ``src``, scheduled by
         :meth:`_rpc_respond`; the same arrival checks, in the same order,
@@ -695,10 +787,10 @@ class Network:
                        "response", response_bytes, "corrupt", "rpc_response")
             return
         self._flow_delivered += 1
-        self._msg_event("msg_deliver", server_id, client_id, "response",
-                        response_bytes, leg="rpc_response")
-        if not done.fired:
-            done.fire(value)
+        if self._tracer is not None or self._metrics is not None:
+            self._msg_event("msg_deliver", server_id, client_id, "response",
+                            response_bytes, leg="rpc_response")
+        call.resolve(value)
 
     # -- partitions -------------------------------------------------------------
 
@@ -771,8 +863,9 @@ class Network:
         if counter is not None:
             self.monitor.counters.increment(counter)
         self._flow_dropped += 1
-        self._msg_event("msg_drop", src_id, dst_id, method, size_bytes,
-                        reason=reason, leg=leg)
+        if self._tracer is not None or self._metrics is not None:
+            self._msg_event("msg_drop", src_id, dst_id, method, size_bytes,
+                            reason=reason, leg=leg)
 
     def _msg_event(
         self,

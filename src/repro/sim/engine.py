@@ -284,8 +284,8 @@ class _AllOfWait:
     """In-flight state of one :class:`AllOf` subscription.
 
     A slotted object with bound-method callbacks: cheaper per wait than
-    the equivalent closure pile, which matters because combinators sit on
-    the RPC hot path.
+    the equivalent closure pile, which matters because every round of a
+    DHT lookup waits on an ``AllOf`` of its parallel query processes.
     """
 
     __slots__ = ("callback", "results", "remaining", "cancelled", "cancels",

@@ -3,9 +3,10 @@ detection and re-blocking, and the censor cost model."""
 
 import pytest
 
-from repro.errors import FaultError
+from repro.errors import FaultError, RpcTimeoutError
 from repro.faults import Censor, FaultInjector, FaultPlan
 from repro.net import ConstantLatency, Network
+from repro.obs import Tracer, observe
 from repro.sim import RngStreams, Simulator
 
 
@@ -121,6 +122,27 @@ class TestBorderSemantics:
         assert delivered == []
         assert network.monitor.counters.get("messages_censored") == 1
         assert injector.censor_cost()["blocked_flows"] == 1
+
+    def test_blocked_rpc_request_traced_at_its_size(self):
+        tracer = Tracer()
+        with observe(tracer=tracer):
+            sim, streams, network = build()
+        FaultInjector(sim, network, FaultPlan([campaign()]), streams).arm()
+        network.node("svc0").register_handler(
+            "m", lambda node, payload, sender: payload)
+
+        def client():
+            yield 20.0
+            with pytest.raises(RpcTimeoutError):
+                yield from network.rpc("in0", "svc0", "m", size_bytes=300,
+                                       timeout=1.0)
+
+        sim.spawn(client())
+        sim.run(until=30.0)
+        drops = [(d["leg"], d["reason"], d["bytes"])
+                 for d in tracer.iter_kind("msg_drop")]
+        assert drops == [("rpc_request", "censor", 300)]
+        assert network.monitor.counters.get("messages_censored") == 1
 
     def test_degrade_drops_probabilistically_inbound(self):
         sim, streams, network = build()

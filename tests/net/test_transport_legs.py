@@ -5,18 +5,30 @@ closure: four GC-tracked objects (heap tuple, ``_ScheduledEvent``,
 bound method, args tuple).  A closure with its cells costs 11, and at
 the heap depths of a message flood the cyclic collector rescans every
 one of them on each pass.
+
+An RPC attempt is one call object that is the caller's wait, the
+response target and the timeout callback.  In flight, with its caller
+process, it holds at most 17 GC-tracked objects (a
+``Signal`` + ``Timeout`` + ``AnyOf`` wait held 30; a process parked on
+``yield 30.0`` holds 9), and it costs three engine events when answered
+and two when it times out.
 """
 
 import gc
+import types
 
 import pytest
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, RpcTimeoutError
 from repro.net import ConstantLatency, Network
-from repro.sim import RngStreams, Simulator
+from repro.net.transport import _RpcCall
+from repro.obs import Metrics
+from repro.sim import Interrupt, RngStreams, Simulator
 
 LEGS = 2_000
 TRACKED_PER_LEG = 4
+TRACKED_PER_RPC = 17
+RPC_ROUNDS = 400
 
 
 @pytest.fixture
@@ -43,6 +55,29 @@ def tracked_per_leg(issue_one_leg):
     return (after - before) / LEGS
 
 
+def _tracked_without_frames():
+    return sum(1 for obj in gc.get_objects()
+               if not isinstance(obj, types.FrameType))
+
+
+def tracked_per_caller(sim, caller):
+    """GC-tracked objects added per process spawned from ``caller`` and
+    run up to its first wait.  Frames are not counted: CPython 3.11+
+    keeps a suspended generator's frame inside the generator, 3.10
+    tracks it as an object of its own."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = _tracked_without_frames()
+        for _ in range(LEGS):
+            sim.spawn(caller())
+        sim.run(until=sim.now)
+        after = _tracked_without_frames()
+    finally:
+        gc.enable()
+    return (after - before) / LEGS
+
+
 class TestAllocationBudget:
     def test_one_way_leg_stays_within_budget(self, pair):
         sim, network = pair
@@ -55,14 +90,121 @@ class TestAllocationBudget:
     def test_rpc_response_leg_stays_within_budget(self, pair):
         sim, network = pair
         src, dst = network.node("a"), network.node("b")
-        done = sim.signal("rpc")
-        network._rpc_respond(src, dst, 1, 512, done)  # warm the counter key
+        call = _RpcCall(network, src, dst, 512, 512, 30.0)
+        network._rpc_respond(src, dst, 1, 512, call)  # warm the counter key
         sim.run()
         per_leg = tracked_per_leg(
-            lambda: network._rpc_respond(src, dst, 1, 512, done)
+            lambda: network._rpc_respond(src, dst, 1, 512, call)
         )
         assert per_leg <= TRACKED_PER_LEG
         assert sim.pending_events == LEGS
+
+    def test_in_flight_rpc_stays_within_budget(self, pair):
+        sim, network = pair
+
+        def caller():
+            yield from network.rpc("a", "b", "ping", 1)
+
+        sim.run_process(caller())  # warm the counter keys
+        per_call = tracked_per_caller(sim, caller)
+        assert per_call <= TRACKED_PER_RPC
+        # Every caller has sent its request and none has its response:
+        # one request leg and one timer each.
+        assert sim.pending_events == 2 * LEGS
+
+
+def _rpc_rounds(server_online, timeout=30.0):
+    """The ``micro.transport.rpc_roundtrip`` loop: sequential echo RPCs
+    from one client; returns the engine's event counters."""
+    metrics = Metrics()
+    sim = Simulator(metrics=metrics)
+    network = Network(sim, RngStreams(2003))
+    network.create_node("client")
+    server = network.create_node("server")
+    server.register_handler("echo", lambda node, payload, sender: payload)
+    server.set_online(server_online, 0.0)
+
+    def client():
+        for i in range(RPC_ROUNDS):
+            try:
+                yield from network.rpc("client", "server", "echo", i,
+                                       timeout=timeout)
+            except RpcTimeoutError:
+                pass
+
+    sim.run_process(client())
+    return {name: metrics.counter(f"sim.events_{name}")
+            for name in ("scheduled", "fired", "cancelled")}
+
+
+class TestRpcEventBudget:
+    def test_answered_rpc_is_three_events(self):
+        # Request leg, a timer that gets cancelled, response leg (the
+        # extra event is the client's spawn).
+        assert _rpc_rounds(server_online=True) == {
+            "scheduled": 3 * RPC_ROUNDS + 1,
+            "fired": 2 * RPC_ROUNDS + 1,
+            "cancelled": RPC_ROUNDS,
+        }
+
+    def test_timed_out_rpc_is_two_events(self):
+        # Request leg (dropped at the offline server) and the timer.
+        assert _rpc_rounds(server_online=False, timeout=1.0) == {
+            "scheduled": 2 * RPC_ROUNDS + 1,
+            "fired": 2 * RPC_ROUNDS + 1,
+            "cancelled": 0,
+        }
+
+
+class TestRpcCallEdges:
+    def test_interrupt_mid_rpc_settles_the_call(self, pair):
+        metrics = Metrics()
+        sim = Simulator(metrics=metrics)
+        network = Network(sim, RngStreams(1), latency=ConstantLatency(0.05))
+        network.create_node("a")
+        network.create_node("b").register_handler(
+            "echo", lambda node, payload, sender: payload)
+
+        def client():
+            try:
+                yield from network.rpc("a", "b", "echo", 1, timeout=5.0)
+            except Interrupt as exc:
+                return (sim.now, exc.cause)
+
+        process = sim.spawn(client())
+        # The request lands at 0.05 and the response at 0.10.
+        sim.schedule(0.07, process.interrupt, "stop")
+        sim.run()
+        assert process.result == (0.07, "stop")
+        assert sim.stale_resumes == 0  # the late response resumed nothing
+        assert metrics.counter("sim.events_cancelled") == 1  # the timer
+        assert metrics.counter("sim.tombstones_drained") == 1
+        assert sim.pending_events == 0
+        assert sim.now == pytest.approx(0.10, abs=1e-3)  # response leg
+        assert network.flow_snapshot() == {
+            "sent": 2, "delivered": 2, "dropped": 0, "in_flight": 0,
+        }
+        assert network.monitor.counters.get("rpcs_completed") == 0
+
+    def test_timer_wins_a_same_instant_tie(self, pair):
+        # Request and response each take exactly 0.05 s, so the
+        # response lands at the timeout instant; the timer was scheduled
+        # first and decides the call.
+        sim, network = pair
+        network.node("b").register_handler(
+            "echo", lambda node, payload, sender: payload)
+
+        def client():
+            try:
+                yield from network.rpc("a", "b", "echo", 1, size_bytes=0,
+                                       response_bytes=0, timeout=0.1)
+            except RpcTimeoutError:
+                return sim.now
+            return None
+
+        assert sim.run_process(client()) == 0.1
+        assert network.monitor.counters.get("rpcs_timed_out") == 1
+        assert sim.stale_resumes == 0
 
 
 class TestNegativeSizes:
@@ -93,3 +235,16 @@ class TestNegativeSizes:
         assert network.flow_snapshot() == {
             "sent": 0, "delivered": 0, "dropped": 0, "in_flight": 0,
         }
+
+    def test_negative_rpc_timeout_rejected_in_the_caller(self, pair):
+        sim, network = pair
+
+        def client():
+            try:
+                yield from network.rpc("a", "b", "ping", timeout=-1.0)
+            except NetworkError as exc:
+                return str(exc)
+
+        assert "negative rpc timeout" in sim.run_process(client())
+        assert network.monitor.counters.as_dict() == {}
+        assert sim.pending_events == 0

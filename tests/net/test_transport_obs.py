@@ -220,6 +220,36 @@ class TestMessageTraceEvents:
         assert metrics.counter("net.messages_dropped.offline") == 1
         assert metrics.counter("net.messages_dropped.partition") == 1
 
+    @pytest.mark.parametrize("reason, counter", [
+        ("offline", "messages_to_offline"),
+        ("partition", "messages_partitioned"),
+    ])
+    def test_rpc_request_drop_reasons_traced(self, reason, counter):
+        tracer = Tracer()
+        metrics = Metrics()
+        sim, network = _net(tracer, metrics)
+        network.create_node("client")
+        server = network.create_node("server")
+        server.register_handler("m", lambda node, p, s: p)
+        if reason == "offline":
+            server.set_online(False, 0.0)
+        else:
+            network.partition([["client"], ["server"]])
+
+        def client():
+            with pytest.raises(RpcTimeoutError):
+                yield from network.rpc("client", "server", "m",
+                                       size_bytes=300, timeout=1.0)
+
+        sim.run_process(client())
+        drops = [(d["leg"], d["reason"], d["bytes"])
+                 for d in tracer.iter_kind("msg_drop")]
+        assert drops == [("rpc_request", reason, 300)]
+        dropped = network.flow_snapshot()["dropped"]
+        assert metrics.counter("net.messages_dropped") == dropped == 1
+        assert metrics.counter(f"net.messages_dropped.{reason}") == 1
+        assert network.monitor.counters.get(counter) == 1
+
     def test_rpc_request_and_response_legs_labelled(self):
         tracer = Tracer()
         sim = Simulator(tracer=tracer)
@@ -234,6 +264,34 @@ class TestMessageTraceEvents:
         sim.run_process(client())
         legs = [e.get("leg") for e in tracer.iter_kind("msg_send")]
         assert legs == ["rpc_request", "rpc_response"]
+
+
+class TestInactiveHooks:
+    @pytest.mark.parametrize("server_online", [True, False])
+    def test_rpc_never_calls_msg_event(self, monkeypatch, server_online):
+        """With no tracer and no metrics every message-leg hook is one
+        ``is not None`` check: an RPC, answered or dropped, never
+        reaches ``_msg_event``."""
+        sim, network = _net()
+        network.create_node("client")
+        server = network.create_node("server")
+        server.register_handler("echo", lambda node, p, s: p)
+        server.set_online(server_online, 0.0)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("_msg_event called with observation off")
+
+        monkeypatch.setattr(network, "_msg_event", fail)
+
+        def client():
+            try:
+                return (yield from network.rpc("client", "server", "echo",
+                                               "hi", timeout=1.0))
+            except RpcTimeoutError:
+                return "timeout"
+
+        expected = "hi" if server_online else "timeout"
+        assert sim.run_process(client()) == expected
 
 
 class TestAmbientObservation:
