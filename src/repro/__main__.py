@@ -13,7 +13,6 @@ Usage::
     python -m repro trace E4 --out trace.jsonl  # run under full tracing
     python -m repro lint              # determinism/invariant linter
     python -m repro chaos E4 --plan server-kill --seed 7  # fault injection
-    python -m repro bench --suite micro --out BENCH.json  # perf benchmarks
     python -m repro list              # what can be run
 
 Experiment runs use small default parameters (seconds of wall clock);
@@ -201,10 +200,11 @@ def _sweep(args) -> int:
         if args.devices is not None:
             print("--devices requires --engine cohort", file=sys.stderr)
             return 2
-    if args.chunksize < 1:
-        print(f"--chunksize must be >= 1, got {args.chunksize}",
-              file=sys.stderr)
-        return 2
+    for flag, value in (("--chunksize", args.chunksize),
+                        ("--workers", args.workers)):
+        if value < 1:
+            print(f"{flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
     metrics = None
     if args.metrics:
         from repro.obs import Metrics
@@ -319,14 +319,6 @@ def main(argv: List[str] = None) -> int:
     from repro.faults.cli import add_chaos_arguments
 
     add_chaos_arguments(chaos_cmd)
-    bench_cmd = sub.add_parser(
-        "bench",
-        help="run the deterministic perf benchmarks; record or compare"
-             " BENCH_*.json reports",
-    )
-    from repro.bench.cli import add_bench_arguments
-
-    add_bench_arguments(bench_cmd)
     args = parser.parse_args(argv)
     try:
         status = _dispatch(parser, args)
@@ -367,10 +359,6 @@ def _dispatch(parser: argparse.ArgumentParser,
         from repro.faults.cli import run_chaos_command
 
         return run_chaos_command(args)
-    elif args.command == "bench":
-        from repro.bench.cli import run_bench_command
-
-        return run_bench_command(args)
     elif args.command == "verify":
         from repro.analysis import verify_reproduction
 
@@ -396,10 +384,6 @@ def _dispatch(parser: argparse.ArgumentParser,
         print("chaos (python -m repro chaos <id> --plan <preset>):"
               f" {' '.join(sorted(SCENARIOS))}")
         print(f"fault presets: {' '.join(sorted(PRESETS))}")
-        from repro.bench import all_benchmarks
-
-        print("bench (python -m repro bench --suite micro|macro):"
-              f" {' '.join(b.name for b in all_benchmarks())}")
     else:
         parser.print_help()
         return 1

@@ -135,8 +135,3 @@ class InvariantViolation(ReproError):
         self.message = message
         self.at = at
         self.details = dict(details or {})
-
-
-class BenchError(ReproError):
-    """The benchmark harness was invoked incorrectly (unknown benchmark
-    or suite, malformed report, bad comparison input)."""

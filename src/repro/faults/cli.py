@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Optional
 from repro.errors import FaultError
 from repro.faults.presets import PRESETS, load_plan
 from repro.faults.scenarios import SCENARIOS, run_chaos
+from repro.obs.cli import out_path_unusable
 from repro.obs.metrics import Metrics
 from repro.obs.runtime import observe
 from repro.obs.tracer import Tracer
@@ -163,6 +164,8 @@ def run_chaos_command(args) -> int:
     except FaultError as exc:
         print(f"chaos: {exc}", file=sys.stderr)
         return 2
+    if args.out is not None and out_path_unusable("chaos", args.out):
+        return 2
 
     tracer = Tracer()
     metrics = Metrics()
@@ -176,7 +179,12 @@ def run_chaos_command(args) -> int:
 
     written: Optional[int] = None
     if args.out is not None:
-        written = tracer.write_jsonl(args.out)
+        try:
+            written = tracer.write_jsonl(args.out)
+        except OSError as exc:
+            print(f"chaos: cannot write --out {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
 
     report: Dict[str, Any] = {"schema": CHAOS_SCHEMA_VERSION}
     report.update(outcome)

@@ -510,7 +510,7 @@ class FaultPlan:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise FaultError(f"cannot read plan file {path!r}: {exc}") from exc
         return cls.from_json(text)
 

@@ -25,8 +25,6 @@ Rules (see ``docs/LINTING.md`` for the full catalog and rationale):
 * **FLT001** — no direct mutation of transport fault/censor state
   (including in-place blocklist edits) outside ``repro.faults``; faults
   must be declared as ``FaultPlan`` events.
-* **BEN001** — no host-clock reads inside ``repro/bench/`` benchmark
-  bodies; only ``repro/bench/harness.py`` times.
 
 Whole-program rules (checked over the :class:`ProjectIndex` built from
 *all* linted files, not one file at a time):
@@ -74,7 +72,6 @@ from repro.lint.reporters import render_human, render_json
 
 # Importing the rule modules registers their rules with the engine.
 from repro.lint import rules_api  # noqa: F401
-from repro.lint import rules_bench  # noqa: F401
 from repro.lint import rules_determinism  # noqa: F401
 from repro.lint import rules_errors  # noqa: F401
 from repro.lint import rules_faults  # noqa: F401

@@ -278,6 +278,15 @@ def _finding_from_dict(doc: Dict[str, Any]) -> Finding:
     )
 
 
+def _undecodable(path: str, exc: UnicodeDecodeError) -> Finding:
+    """The ``SYNTAX`` finding for a file that is not UTF-8 (CPython
+    rejects it with a ``SyntaxError`` too), at its first bad byte."""
+    line_start = exc.object.rfind(b"\n", 0, exc.start) + 1
+    return Finding("SYNTAX", path, exc.object.count(b"\n", 0, line_start) + 1,
+                   exc.start - line_start,
+                   f"cannot decode as UTF-8: {exc.reason}")
+
+
 def _lint_file_result(
     path: str, source: str, file_rules: Sequence[Rule]
 ) -> Dict[str, Any]:
@@ -368,6 +377,8 @@ def lint_file(
         source = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise LintError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        return [_undecodable(str(path), exc)]
     return lint_source(source, path=str(path), rules=rules)
 
 
@@ -428,6 +439,11 @@ def lint_paths(
             source = Path(file_path).read_text(encoding="utf-8")
         except OSError as exc:
             raise LintError(f"cannot read {file_path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            findings = [_undecodable(file_path, exc).to_dict()]
+            results[position] = {"path": file_path, "findings": findings,
+                                 "fragment": None, "noqa": {}}
+            continue
         key: Optional[str] = None
         if cache is not None:
             key = LintCache.key(file_path, source, file_rule_ids,

@@ -13,6 +13,8 @@ lint CLI.
 
 from __future__ import annotations
 
+import errno
+import os
 import sys
 from typing import Callable, Dict, Optional
 
@@ -25,7 +27,7 @@ from repro.obs.reporters import (
 from repro.obs.runtime import observe
 from repro.obs.tracer import Tracer
 
-__all__ = ["add_trace_arguments", "run_trace"]
+__all__ = ["add_trace_arguments", "out_path_unusable", "run_trace"]
 
 
 def add_trace_arguments(parser) -> None:
@@ -52,6 +54,20 @@ def add_trace_arguments(parser) -> None:
     )
 
 
+def out_path_unusable(command: str, path: str) -> bool:
+    """True, after saying why on stderr, when ``--out path`` is a
+    directory or its parent directory does not exist."""
+    if os.path.isdir(path):
+        reason = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or os.curdir):
+        reason = errno.ENOENT
+    else:
+        return False
+    print(f"{command}: cannot write --out {path}: {os.strerror(reason)}",
+          file=sys.stderr)
+    return True
+
+
 def run_trace(
     args, experiments: Dict[str, Callable[[], object]]
 ) -> int:
@@ -75,6 +91,8 @@ def run_trace(
         print(f"--capacity must be >= 0, got {args.capacity}",
               file=sys.stderr)
         return 2
+    if args.out is not None and out_path_unusable("trace", args.out):
+        return 2
 
     tracer = Tracer(capacity=args.capacity)
     metrics = Metrics()
@@ -83,7 +101,12 @@ def run_trace(
 
     written: Optional[int] = None
     if args.out is not None:
-        written = tracer.write_jsonl(args.out)
+        try:
+            written = tracer.write_jsonl(args.out)
+        except OSError as exc:
+            print(f"trace: cannot write --out {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
 
     name = args.name.upper()
     if args.format == "json":
@@ -98,7 +121,7 @@ def run_trace(
 def _validate(path: str) -> int:
     try:
         errors = validate_trace_file(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"trace: cannot read {path!r}: {exc}", file=sys.stderr)
         return 2
     if errors:

@@ -120,7 +120,7 @@ class DeviceCohort:
         #: Offline->online transitions so far (the per-process engine's
         #: ``Node.sessions``, summed over the cohort).
         self._sessions = 0
-        #: Uniform draws consumed; feeds the bench draw-order checksum.
+        #: Uniform draws consumed, the first dwells included.
         self.draws = self.size
 
     # -- the batch step ---------------------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.faults.cli
 from repro.__main__ import main
 from repro.faults.cli import validate_chaos_report
 from repro.obs import validate_trace_file
@@ -33,6 +34,13 @@ class TestExitCodes:
     def test_unknown_plan_exits_two(self, capsys):
         assert main(["chaos", "E4", "--plan", "nope"]) == 2
         assert "chaos:" in capsys.readouterr().err
+
+    def test_undecodable_plan_file_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        assert main(["chaos", "E6", "--plan", str(bad)]) == 2
+        assert (f"chaos: cannot read plan file {str(bad)!r}"
+                in capsys.readouterr().err)
 
     def test_bad_interval_exits_two(self, capsys):
         code = main(["chaos", "E4", "--plan", "quiet", "--interval", "0"])
@@ -87,6 +95,25 @@ class TestJsonReport:
                    for e in validate_chaos_report({"schema": 99}))
         missing = validate_chaos_report({"schema": 1})
         assert any("experiment" in e for e in missing)
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("target,reason", [
+        ("missing/t.jsonl", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_exits_two_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                      target, reason):
+        runs = []
+        monkeypatch.setattr(repro.faults.cli, "run_chaos",
+                            lambda *args, **kwargs: runs.append(args))
+        out = tmp_path / target
+        assert main(["chaos", "E6", "--plan", "quiet",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"chaos: cannot write --out {out}: {reason}\n"
+        )
+        assert runs == []
 
 
 class TestTraceOutput:

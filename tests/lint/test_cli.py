@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 from repro.__main__ import main
+from repro.lint import lint_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -37,6 +38,17 @@ class TestLintCommand:
         assert code == 2
         assert "unknown rule" in capsys.readouterr().err
 
+    def test_undecodable_file_is_a_syntax_finding(self, tmp_path, capsys):
+        bad = tmp_path / "bad.py"
+        bad.write_bytes(b"x = 1\ny = '\xff\xfe'\n")
+        assert main(["lint", "--format", "json", str(bad)]) == 1
+        [finding] = json.loads(capsys.readouterr().out)["findings"]
+        assert finding == {
+            "rule": "SYNTAX", "path": str(bad), "line": 2, "col": 5,
+            "message": "cannot decode as UTF-8: invalid start byte",
+        }
+        assert [f.to_dict() for f in lint_file(str(bad))] == [finding]
+
     def test_missing_path_exits_two(self, capsys):
         code = main(["lint", str(FIXTURES / "no_such_file.py")])
         assert code == 2
@@ -47,7 +59,7 @@ class TestLintCommand:
         out = capsys.readouterr().out
         for rule_id in ("DET001", "DET002", "DET003", "DET004", "DET005",
                         "DET006", "ORD001", "IMP001", "PAR001", "ERR001",
-                        "API001", "FLT001", "BEN001"):
+                        "API001", "FLT001"):
             assert rule_id in out
 
     def test_overlapping_paths_report_findings_once(self, capsys):

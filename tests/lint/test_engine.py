@@ -20,7 +20,6 @@ EXPECTED_FIXTURE_RULES = {
     "par001_lambda_to_pool.py": {"PAR001"},
     "err001_broad_except.py": {"ERR001"},
     "api001_all_mismatch.py": {"API001"},
-    "bench/ben001_timed_body.py": {"BEN001"},
     "flt001_direct_mutation.py": {"FLT001"},
 }
 
@@ -58,7 +57,6 @@ class TestFixtures:
         assert found_rules == {
             "DET001", "DET002", "DET003", "DET004", "DET005", "DET006",
             "ORD001", "IMP001", "PAR001", "ERR001", "API001", "FLT001",
-            "BEN001",
         }
 
     def test_findings_sorted_by_path_then_line(self):

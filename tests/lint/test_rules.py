@@ -411,70 +411,3 @@ class TestFLT001:
             blocklist.add(relay)
         """
         assert rule_ids(src) == []
-
-
-BENCH_PATH = "src/repro/bench/micro.py"
-
-
-class TestBEN001:
-    def test_perf_counter_call_flagged(self):
-        src = """
-        import time
-
-        def bench_x(metrics):
-            start = time.perf_counter()
-        """
-        assert rule_ids(src, path=BENCH_PATH) == ["BEN001"]
-
-    def test_wall_clock_import_flagged(self):
-        assert rule_ids("from time import perf_counter\n",
-                        path=BENCH_PATH) == ["BEN001"]
-        assert rule_ids("from time import monotonic\n",
-                        path=BENCH_PATH) == ["BEN001"]
-
-    def test_datetime_now_flagged(self):
-        src = """
-        import datetime
-
-        def bench_x(metrics):
-            return datetime.datetime.now()
-        """
-        assert rule_ids(src, path=BENCH_PATH) == ["BEN001"]
-
-    def test_bare_time_import_clean(self):
-        # Importing the module alone is fine; only clock reads are not.
-        assert rule_ids("import time\n", path=BENCH_PATH) == []
-
-    def test_time_sleep_clean(self):
-        # sleep does not *read* the clock into benchmark behaviour.
-        src = """
-        import time
-
-        def bench_x(metrics):
-            time.sleep(0)
-        """
-        assert rule_ids(src, path=BENCH_PATH) == []
-
-    def test_harness_module_exempt(self):
-        src = """
-        import time
-
-        def run_benchmark(bench):
-            return time.perf_counter()
-        """
-        assert rule_ids(src, path="src/repro/bench/harness.py") == []
-
-    def test_outside_bench_package_out_of_scope(self):
-        src = """
-        import time
-
-        def elsewhere():
-            return time.perf_counter()
-        """
-        assert rule_ids(src, path="src/repro/analysis/runner.py") == []
-
-    def test_noqa_suppression(self):
-        src = ("import time\n"
-               "def bench_x(metrics):\n"
-               "    t = time.perf_counter()  # repro: noqa[BEN001]\n")
-        assert rule_ids(src, path=BENCH_PATH) == []

@@ -115,7 +115,7 @@ class TestAllocationBudget:
 
 def _rpc_rounds(server_online, timeout=30.0):
     """The ``micro.transport.rpc_roundtrip`` loop: sequential echo RPCs
-    from one client; returns the engine's event counters."""
+    from one client; returns every counter the run records."""
     metrics = Metrics()
     sim = Simulator(metrics=metrics)
     network = Network(sim, RngStreams(2003))
@@ -133,8 +133,7 @@ def _rpc_rounds(server_online, timeout=30.0):
                 pass
 
     sim.run_process(client())
-    return {name: metrics.counter(f"sim.events_{name}")
-            for name in ("scheduled", "fired", "cancelled")}
+    return metrics.snapshot()["counters"]
 
 
 class TestRpcEventBudget:
@@ -142,17 +141,35 @@ class TestRpcEventBudget:
         # Request leg, a timer that gets cancelled, response leg (the
         # extra event is the client's spawn).
         assert _rpc_rounds(server_online=True) == {
-            "scheduled": 3 * RPC_ROUNDS + 1,
-            "fired": 2 * RPC_ROUNDS + 1,
-            "cancelled": RPC_ROUNDS,
+            "sim.events_scheduled": 3 * RPC_ROUNDS + 1,
+            "sim.events_fired": 2 * RPC_ROUNDS + 1,
+            "sim.events_cancelled": RPC_ROUNDS,
+            "sim.tombstones_drained": RPC_ROUNDS,
+            "sim.processes_spawned": 1,
+            "sim.processes_finished": 1,
+            # Two 512-byte legs per call: both count as sent, only the
+            # response leg counts as delivered.
+            "net.messages_sent": 2 * RPC_ROUNDS,
+            "net.messages_delivered": RPC_ROUNDS,
+            "net.bytes_sent": 2 * RPC_ROUNDS * 512,
+            "net.bytes_delivered": RPC_ROUNDS * 512,
+            "net.rpcs_sent": RPC_ROUNDS,
+            "net.rpcs_ok": RPC_ROUNDS,
         }
 
     def test_timed_out_rpc_is_two_events(self):
         # Request leg (dropped at the offline server) and the timer.
         assert _rpc_rounds(server_online=False, timeout=1.0) == {
-            "scheduled": 2 * RPC_ROUNDS + 1,
-            "fired": 2 * RPC_ROUNDS + 1,
-            "cancelled": 0,
+            "sim.events_scheduled": 2 * RPC_ROUNDS + 1,
+            "sim.events_fired": 2 * RPC_ROUNDS + 1,
+            "sim.processes_spawned": 1,
+            "sim.processes_finished": 1,
+            "net.messages_sent": RPC_ROUNDS,
+            "net.messages_dropped": RPC_ROUNDS,
+            "net.messages_dropped.offline": RPC_ROUNDS,
+            "net.bytes_sent": RPC_ROUNDS * 512,
+            "net.rpcs_sent": RPC_ROUNDS,
+            "net.rpcs_timeout": RPC_ROUNDS,
         }
 
 

@@ -1,12 +1,14 @@
 """Tests for ``python -m repro trace`` and the run_trace entry point."""
 
 import argparse
+import errno
 import json
+import os
 
 import pytest
 
 from repro.__main__ import main
-from repro.obs import validate_trace_file
+from repro.obs import Tracer, validate_trace_file
 from repro.obs.cli import add_trace_arguments, run_trace
 from repro.sim import Simulator
 
@@ -96,6 +98,40 @@ class TestValidateMode:
         missing = tmp_path / "nope.jsonl"
         assert run_trace(_parse(["--validate", str(missing)]), EXPERIMENTS) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_undecodable_file_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        assert run_trace(_parse(["--validate", str(bad)]), EXPERIMENTS) == 2
+        assert f"trace: cannot read {str(bad)!r}" in capsys.readouterr().err
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("target,reason", [
+        ("missing/t.jsonl", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_exits_two_before_the_run(self, tmp_path, capsys, target,
+                                      reason):
+        runs = []
+        out = tmp_path / target
+        args = _parse(["E1", "--out", str(out)])
+        assert run_trace(args, {"E1": lambda: runs.append(1)}) == 2
+        assert capsys.readouterr().err == (
+            f"trace: cannot write --out {out}: {reason}\n"
+        )
+        assert runs == []
+
+    def test_failed_write_exits_two(self, tmp_path, capsys, monkeypatch):
+        def full_disk(self, path):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(Tracer, "write_jsonl", full_disk)
+        out = tmp_path / "t.jsonl"
+        assert run_trace(_parse(["E1", "--out", str(out)]), EXPERIMENTS) == 2
+        assert capsys.readouterr().err == (
+            f"trace: cannot write --out {out}: {os.strerror(errno.ENOSPC)}\n"
+        )
 
 
 class TestMainEndToEnd:

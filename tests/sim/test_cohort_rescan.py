@@ -18,7 +18,8 @@ import numpy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.cohort import DeviceCohort
+from repro.obs import Metrics
+from repro.sim.cohort import CohortEngine, DeviceCohort
 from repro.sim.rng import seeded_generator
 
 SETTINGS = settings(
@@ -145,3 +146,35 @@ class TestRestrictedRescanIsExact:
                     cohort.availability_time_mean()
                     - reference.availability_time_mean()
                 ) <= 1e-12
+
+
+class TestCohortStepCounters:
+    def test_fifty_thousand_devices_forty_ticks(self):
+        # Exact counts of one seeded run: any change to the step, the
+        # dwell sampler or the draw order moves at least one of them.
+        metrics = Metrics()
+        engine = CohortEngine(tick=50.0, metrics=metrics)
+        cohort = engine.add(DeviceCohort(
+            "step", 50_000, mean_uptime=600.0, mean_downtime=300.0,
+            attrition=0.01, generator=seeded_generator(7001, "bench.cohort"),
+        ))
+        engine.run(2000.0)
+        assert metrics.snapshot()["counters"] == {
+            "cohort.devices": 50_000,
+            "cohort.draws": 328_509,  # excludes the 50k first dwells
+            "cohort.flips": 214_033,
+            "cohort.ticks": 40,
+        }
+        assert {
+            "flips": cohort.flips,
+            "sessions": cohort.sessions(),
+            "departed": cohort.departed_count(),
+            "draws": cohort.draws,
+            "final_online": cohort.online_count(),
+        } == {
+            "flips": 214_033,
+            "sessions": 98_387,
+            "departed": 1170,
+            "draws": 378_509,
+            "final_online": 32_741,
+        }

@@ -122,6 +122,13 @@ class TestSweepCommand:
         [line] = captured.err.splitlines()
         assert line.startswith("sweep: ") and str(not_a_dir) in line
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exits_two(self, capsys, workers):
+        assert main(["sweep", "E4", "--workers", workers, "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"--workers must be >= 1, got {workers}\n"
+
 
 class TestCohortEngineCommand:
     @pytest.mark.parametrize("name", ["E3", "E4", "E5", "E9"])
