@@ -1082,11 +1082,7 @@ def _usenet_point(
     for i, name in enumerate(sorted(overlay)):
         overlay[name].publish("news", f"post-{i}", size_bytes=message_bytes)
     sim.run()
-    total_bytes = sum(
-        count
-        for key, count in network.monitor.counters.as_dict().items()
-        if key.startswith("bytes_sent.")
-    )
+    total_bytes = sum(node.bytes_sent for node in network.nodes())
     per_node_flooding = total_bytes / n_users
 
     # --- centralized: users fetch only what interests them ------------

@@ -48,7 +48,7 @@ Window = Tuple[float, float]
 def _check_time(label: str, value: float) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise FaultError(f"{label} must be a number, got {value!r}")
-    if value < 0:
+    if not value >= 0:  # also rejects NaN
         raise FaultError(f"{label} must be >= 0, got {value}")
     return float(value)
 

@@ -96,6 +96,8 @@ class PubSubNode:
                 callback(msg)
 
     def _forward(self, msg: PubSubMessage, exclude: Optional[str], size_bytes: int) -> None:
+        # One payload shared by every neighbour: receivers only read it.
+        payload = {"msg": msg, "size": size_bytes}
         for neighbor in self.neighbors:
             if neighbor == exclude:
                 continue
@@ -104,7 +106,7 @@ class PubSubNode:
                 self.node.node_id,
                 neighbor,
                 "pubsub.msg",
-                {"msg": msg, "size": size_bytes},
+                payload,
                 size_bytes=size_bytes,
             )
 

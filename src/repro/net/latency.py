@@ -61,7 +61,7 @@ class ConstantLatency(LatencyModel):
     """Fixed one-way propagation delay; the simplest useful model."""
 
     def __init__(self, seconds: float = 0.05):
-        if seconds < 0:
+        if not seconds >= 0:  # also rejects NaN
             raise NetworkError(f"negative latency: {seconds}")
         self.seconds = float(seconds)
 

@@ -68,6 +68,8 @@ class Node:
         self.online = True
         self.network: Optional["Network"] = None
         self._handlers: Dict[str, Handler] = {}
+        # Bytes this node has sent, maintained by the transport.
+        self.bytes_sent = 0
         # Lifetime accounting, maintained by churn processes.
         self.total_online_time = 0.0
         self.last_state_change = 0.0

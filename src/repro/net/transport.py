@@ -284,7 +284,7 @@ class _RpcCall(_Waitable):
     call later is a no-op.
 
     In flight (request sent, no response yet) the call and its caller
-    process hold at most 17 GC-tracked objects (the budget in
+    process hold at most 14 GC-tracked objects (the budget in
     ``tests/net/test_transport_legs.py``).
     """
 
@@ -389,6 +389,10 @@ class Network:
         self._flow_delivered = 0
         self._flow_dropped = 0
         self._flow_in_flight = 0
+        # Arrival callbacks bound once, not once per scheduled leg.
+        self._deliver_cb = self._deliver
+        self._rpc_arrive_cb = self._rpc_arrive
+        self._deliver_response_cb = self._deliver_response
 
     # -- registry ----------------------------------------------------------
 
@@ -449,9 +453,7 @@ class Network:
         src, dst = nodes.get(src_id), nodes.get(dst_id)
         if src is None or dst is None:
             src, dst = self.node(src_id), self.node(dst_id)  # raises
-        counters = self.monitor.counters
-        counters.increment("messages_sent")
-        counters.increment(f"bytes_sent.{src_id}", size_bytes)
+        src.bytes_sent += size_bytes
         self._flow_sent += 1
         if self._tracer is not None or self._metrics is not None:
             self._msg_event("msg_send", src_id, dst_id, method, size_bytes)
@@ -470,8 +472,8 @@ class Network:
         if faults is not None and faults.latency_factor != 1.0:
             delay *= faults.latency_factor
         self._flow_in_flight += 1
-        self.sim.schedule(delay, self._deliver, src_id, dst, method, payload,
-                          size_bytes)
+        self.sim.schedule(delay, self._deliver_cb, src_id, dst, method,
+                          payload, size_bytes)
 
     def _deliver(
         self,
@@ -483,9 +485,9 @@ class Network:
     ) -> None:
         """Arrival of one one-way leg, scheduled by :meth:`send`.
 
-        A bound method rather than a per-message closure, so an
-        in-flight leg costs four GC-tracked objects: its heap tuple,
-        ``_ScheduledEvent``, bound method and args tuple.  Checks run
+        A method bound once per network rather than a per-message
+        closure, so an in-flight leg costs two GC-tracked objects: its
+        event (which is its own heap entry) and args tuple.  Checks run
         offline → censor → partition → corrupt, each reading transport
         state at arrival, so faults landing mid-flight still kill it.
         """
@@ -510,7 +512,6 @@ class Network:
             self._drop("messages_corrupted", src_id, dst_id, method,
                        size_bytes, "corrupt")
             return
-        self.monitor.counters.increment("messages_delivered")
         self._flow_delivered += 1
         if self._tracer is not None or self._metrics is not None:
             self._msg_event("msg_deliver", src_id, dst_id, method, size_bytes)
@@ -569,7 +570,7 @@ class Network:
         """
         if retries < 0:
             raise NetworkError(f"retries must be >= 0, got {retries}")
-        if timeout < 0:
+        if not timeout >= 0:  # also rejects NaN
             raise NetworkError(f"negative rpc timeout: {timeout}")
         if size_bytes < 0 or response_bytes < 0:
             raise NetworkError(
@@ -607,7 +608,7 @@ class Network:
         """One request/response attempt (the pre-retry ``rpc`` body)."""
         src, dst = self.node(src_id), self.node(dst_id)
         self.monitor.counters.increment("rpcs_sent")
-        self.monitor.counters.increment(f"bytes_sent.{src_id}", size_bytes)
+        src.bytes_sent += size_bytes
         if self._metrics is not None:
             self._metrics.inc("net.rpcs_sent")
         start = self.sim.now
@@ -628,7 +629,7 @@ class Network:
             self._flow_in_flight += 1
             self.sim.schedule(
                 request_delay,
-                self._rpc_arrive,
+                self._rpc_arrive_cb,
                 src,
                 dst,
                 method,
@@ -736,7 +737,7 @@ class Network:
         """Send the response back from dst to src."""
         if not dst.online:
             return  # server died before responding
-        self.monitor.counters.increment(f"bytes_sent.{dst.node_id}", response_bytes)
+        dst.bytes_sent += response_bytes
         self._flow_sent += 1
         faults = self._faults
         if (self.loss_rate > 0
@@ -753,7 +754,7 @@ class Network:
         if faults is not None and faults.latency_factor != 1.0:
             delay *= faults.latency_factor
         self._flow_in_flight += 1
-        self.sim.schedule(delay, self._deliver_response, src, dst, value,
+        self.sim.schedule(delay, self._deliver_response_cb, src, dst, value,
                           response_bytes, call)
 
     def _deliver_response(
@@ -998,7 +999,8 @@ class Network:
         }
 
     def bytes_sent(self, node_id: str) -> int:
-        return self.monitor.counters.get(f"bytes_sent.{node_id}")
+        """Bytes ``node_id`` has put on the wire (raises for an unknown id)."""
+        return self.node(node_id).bytes_sent
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Network(nodes={len(self._nodes)}, loss={self.loss_rate})"

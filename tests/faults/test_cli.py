@@ -42,6 +42,15 @@ class TestExitCodes:
         assert (f"chaos: cannot read plan file {str(bad)!r}"
                 in capsys.readouterr().err)
 
+    def test_nan_plan_time_exits_two(self, tmp_path, capsys):
+        plan = tmp_path / "nan.json"
+        plan.write_text(
+            '{"events": [{"kind": "crash", "at": NaN, "node": "srv0"}]}')
+        assert main(["chaos", "E4", "--plan", str(plan)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "chaos: Crash.at must be >= 0, got nan" in captured.err
+
     def test_bad_interval_exits_two(self, capsys):
         code = main(["chaos", "E4", "--plan", "quiet", "--interval", "0"])
         assert code == 2

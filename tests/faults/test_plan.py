@@ -32,6 +32,15 @@ class TestEventValidation:
         with pytest.raises(FaultError):
             Partition((("a",),), at=-0.5)
 
+    def test_nan_times_rejected(self):
+        nan = float("nan")
+        with pytest.raises(FaultError, match="must be >= 0"):
+            Crash("n", at=nan)
+        with pytest.raises(FaultError, match="must be >= 0"):
+            Partition((("a",),), at=1.0, heal_at=nan)
+        with pytest.raises(FaultError, match="must be >= 0"):
+            DropBurst(window=(nan, 1.0), prob=0.5)
+
     def test_crash_restart_must_follow_at(self):
         with pytest.raises(FaultError):
             Crash("n", at=5.0, restart_at=5.0)

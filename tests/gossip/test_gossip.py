@@ -6,6 +6,7 @@ import repro.crypto.hashing as hashing
 from repro.errors import GroupCommError
 from repro.gossip import (
     AntiEntropyNode,
+    PubSubMessage,
     PubSubNode,
     ReplicaStore,
     Versioned,
@@ -263,6 +264,23 @@ class TestPubSub:
         overlay["n0"].publish("t", 123)
         sim.run()
         assert seen == [123]
+
+    def test_forward_shares_one_payload_across_neighbours(self):
+        sim, streams, network = make_network(9)
+        graph = star("hub", [f"u{i}" for i in range(5)])
+        overlay = build_pubsub_overlay(network, graph)
+        received = []
+        for leaf in overlay["hub"].neighbors:
+            network.node(leaf).register_handler(
+                "pubsub.msg",
+                lambda node, payload, sender: received.append(payload))
+        msg = PubSubMessage("m1", "t", "x", "hub")
+        overlay["hub"]._forward(msg, exclude="u0", size_bytes=512)
+        assert sim.pending_events == 4  # one in-flight leg per neighbour
+        sim.run()
+        assert len(received) == 4
+        assert all(payload is received[0] for payload in received)
+        assert received[0] == {"msg": msg, "size": 512}
 
 
 class TestPubSubUnderFailure:

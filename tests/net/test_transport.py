@@ -120,6 +120,11 @@ class TestLatencyModels:
         with pytest.raises(NetworkError):
             ConstantLatency(0.1).delay(Node("a"), Node("b"), -1)
 
+    @pytest.mark.parametrize("seconds", [-0.1, float("nan")])
+    def test_constant_rejects_negative_or_nan_seconds(self, seconds):
+        with pytest.raises(NetworkError, match="negative latency"):
+            ConstantLatency(seconds)
+
 
 class TestSend:
     def test_one_way_delivery(self, net):
@@ -295,6 +300,13 @@ class TestRpc:
         sim.run_process(client())
         assert network.bytes_sent("client") == 1000
         assert network.bytes_sent("server") == 2000
+
+    def test_bytes_sent_of_unknown_node_raises(self, net):
+        _, network = net
+        network.create_node("client")
+        assert network.bytes_sent("client") == 0
+        with pytest.raises(NetworkError, match="unknown node"):
+            network.bytes_sent("typo")
 
 
 class TestPartitions:

@@ -1,21 +1,23 @@
 """Per-leg costs and input validation of the transport's message legs.
 
-An in-flight leg is a bound arrival method plus its arguments, not a
-closure: four GC-tracked objects (heap tuple, ``_ScheduledEvent``,
-bound method, args tuple).  A closure with its cells costs 11, and at
-the heap depths of a message flood the cyclic collector rescans every
-one of them on each pass.
+An in-flight leg is an arrival method bound once per network plus its
+arguments, not a closure: two GC-tracked objects (the
+``_ScheduledEvent``, which is its own heap entry, and its args tuple).
+A closure with its cells costs 11, and at the heap depths of a message
+flood the cyclic collector rescans every one of them on each pass.
 
 An RPC attempt is one call object that is the caller's wait, the
 response target and the timeout callback.  In flight, with its caller
-process, it holds at most 17 GC-tracked objects (a
+process, it holds at most 14 GC-tracked objects (a
 ``Signal`` + ``Timeout`` + ``AnyOf`` wait held 30; a process parked on
 ``yield 30.0`` holds 9), and it costs three engine events when answered
-and two when it times out.
+and two when it times out.  A cancelled event keeps neither its
+callback nor its arguments alive while it waits in the heap.
 """
 
 import gc
 import types
+import weakref
 
 import pytest
 
@@ -26,8 +28,8 @@ from repro.obs import Metrics
 from repro.sim import Interrupt, RngStreams, Simulator
 
 LEGS = 2_000
-TRACKED_PER_LEG = 4
-TRACKED_PER_RPC = 17
+TRACKED_PER_LEG = 2
+TRACKED_PER_RPC = 14
 RPC_ROUNDS = 400
 
 
@@ -111,6 +113,32 @@ class TestAllocationBudget:
         # Every caller has sent its request and none has its response:
         # one request leg and one timer each.
         assert sim.pending_events == 2 * LEGS
+
+
+class _Referent:
+    def take(self, value):
+        raise AssertionError("a cancelled event fired")
+
+
+class TestTombstones:
+    def test_cancelled_event_releases_callback_and_arguments(self):
+        metrics = Metrics()
+        sim = Simulator(metrics=metrics)
+        owner, argument = _Referent(), _Referent()
+        refs = [weakref.ref(owner), weakref.ref(argument)]
+        event = sim.schedule(1.0, owner.take, argument)
+        del owner, argument
+        assert all(ref() is not None for ref in refs)
+        event.cancel()
+        # Freed at cancel time, with the tombstone still queued.
+        assert all(ref() is None for ref in refs)
+        assert len(sim._queue) == 1
+        assert sim.pending_events == 0
+        assert metrics.counter("sim.events_cancelled") == 1
+        sim.run()
+        assert metrics.counter("sim.tombstones_drained") == 1
+        assert sim.pending_events == 0
+        assert sim.events_processed == 0
 
 
 def _rpc_rounds(server_online, timeout=30.0):
@@ -265,3 +293,20 @@ class TestNegativeSizes:
         assert "negative rpc timeout" in sim.run_process(client())
         assert network.monitor.counters.as_dict() == {}
         assert sim.pending_events == 0
+
+    def test_nan_rpc_timeout_rejected_in_the_caller(self, pair):
+        # A NaN timer would fire before the response and time out a
+        # call to a live server.
+        sim, network = pair
+        network.node("b").register_handler("echo", lambda n, p, s: p)
+
+        def client():
+            try:
+                yield from network.rpc("a", "b", "echo", 7,
+                                       timeout=float("nan"))
+            except NetworkError as exc:
+                return str(exc)
+
+        assert "negative rpc timeout" in sim.run_process(client())
+        assert network.monitor.counters.as_dict() == {}
+        assert network.flow_snapshot()["sent"] == 0

@@ -37,6 +37,22 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(-1.0, lambda: None)
 
+    def test_nan_delay_rejected_and_order_kept(self):
+        # NaN compares false with everything: queued, it would fire out
+        # of order and leave ``now`` as NaN.
+        sim = Simulator()
+        order = []
+        sim.schedule(1.0, order.append, "a")
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), order.append, "nan")
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), order.append, "nan")
+        sim.schedule(0.5, order.append, "b")
+        sim.schedule(2.0, order.append, "c")
+        sim.run()
+        assert order == ["b", "a", "c"]
+        assert sim.now == 2.0
+
     def test_run_until_stops_before_later_events(self):
         sim = Simulator()
         fired = []

@@ -151,6 +151,20 @@ class TestCombinatorEdges:
         with pytest.raises(SimulationError):
             Timeout(-1.0)
 
+    def test_nan_timeout_rejected(self):
+        with pytest.raises(SimulationError):
+            Timeout(float("nan"))
+        sim = Simulator()
+
+        def sleeper():
+            yield float("nan")
+
+        sim.spawn(sleeper())
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="negative timeout"):
+            sim.run()
+        assert sim.now == 0.0
+
     def test_timeout_zero_fires_same_instant(self):
         sim = Simulator()
         order = []
