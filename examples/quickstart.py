@@ -134,4 +134,4 @@ if __name__ == "__main__":
     storage()
     webapps()
     print("\nDone. See DESIGN.md for the full experiment index and"
-          " benchmarks/ for every table and figure.")
+          " `python -m repro verify` for every paper claim.")

@@ -8,6 +8,7 @@ Usage::
     python -m repro zooko             # the Zooko's-triangle assessment
     python -m repro agenda            # the §5 research agenda
     python -m repro experiment E4     # any DESIGN.md experiment driver
+    python -m repro verify            # check every paper claim
     python -m repro sweep E8 --workers 4   # grid drivers, parallel + cached
     python -m repro sweep E8 --metrics     # plus an obs metrics summary
     python -m repro trace E4 --out trace.jsonl  # run under full tracing
@@ -15,8 +16,9 @@ Usage::
     python -m repro chaos E4 --plan server-kill --seed 7  # fault injection
     python -m repro list              # what can be run
 
-Experiment runs use small default parameters (seconds of wall clock);
-the benchmarks run the calibrated versions.
+Every experiment id is an entry of ``repro.analysis.claims.CLAIMS``:
+the driver call ``experiment`` prints (seconds of wall clock) and the
+paper claim ``verify`` checks on its rows.
 """
 
 from __future__ import annotations
@@ -24,9 +26,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict, List
+from typing import List
 
-from repro.analysis import render_kv, render_table
+from repro.analysis import (
+    CLAIMS,
+    SweepCache,
+    SweepRunner,
+    render_kv,
+    render_table,
+    verify_reproduction,
+)
+from repro.analysis.claims import accepts
 
 
 def _table1() -> None:
@@ -68,138 +78,37 @@ def _agenda() -> None:
     print(render_table(rows))
 
 
-_EXPERIMENTS: Dict[str, Callable[[], object]] = {}
+def _sweepable() -> List[str]:
+    return sorted(name for name, claim in CLAIMS.items() if claim.sweepable)
 
 
-def _register_experiments() -> None:
-    from repro.analysis import (
-        naming_attack_curve,
-        run_censorship_sweep,
-        run_federation_availability,
-        run_name_theft,
-        run_naming_comparison,
-        run_partial_federation_sweep,
-        run_proof_economics,
-        run_quality_vs_quantity,
-        run_social_tradeoff,
-        run_swarm_availability,
-    )
-    from repro.analysis.experiments import (
-        run_endless_ledger,
-        run_moderation_comparison,
-        run_usenet_collapse,
-    )
-
-    _EXPERIMENTS.update({
-        "E4": lambda: run_federation_availability(seed=7),
-        "E4P": lambda: run_partial_federation_sweep(seed=7),
-        "E5": lambda: run_social_tradeoff(seed=3),
-        "E6A": lambda: run_naming_comparison(seed=2),
-        "E6B": lambda: naming_attack_curve(),
-        "E6C": lambda: [run_name_theft(seed=9)],
-        "E7": lambda: run_proof_economics(seed=4),
-        "E8": lambda: run_swarm_availability(seed=6),
-        "E9": lambda: run_quality_vs_quantity(seed=2),
-        "E10": lambda: run_moderation_comparison(seed=1),
-        "E11": lambda: run_usenet_collapse(seed=3),
-        "E12": lambda: run_endless_ledger(seed=3),
-        "EC": lambda: run_censorship_sweep(seed=1),
-    })
-
-
-# Grid-shaped drivers the parallel runner can fan out (driver defaults;
-# --seed overrides the base seed where the driver takes one).
-_SWEEPABLE: Dict[str, Callable[..., object]] = {}
-
-# The subset with a vectorized cohort-engine variant (--engine cohort);
-# lambdas take (runner, seed, devices) with devices=None meaning the
-# driver default.
-_SWEEPABLE_COHORT: Dict[str, Callable[..., object]] = {}
-
-
-def _register_sweeps() -> None:
-    from repro.analysis import (
-        run_censorship_sweep,
-        run_federation_availability,
-        run_feasibility,
-        run_naming_comparison,
-        run_partial_federation_sweep,
-        run_proof_economics,
-        run_quality_vs_quantity,
-        run_social_tradeoff,
-        run_swarm_availability,
-    )
-    from repro.analysis.experiments import run_usenet_collapse
-
-    _SWEEPABLE.update({
-        "E3": lambda runner, seed: run_feasibility(runner=runner)["table3"],
-        "E4": lambda runner, seed: run_federation_availability(
-            seed=seed, runner=runner),
-        "E4P": lambda runner, seed: run_partial_federation_sweep(
-            seed=seed, runner=runner),
-        "E5": lambda runner, seed: run_social_tradeoff(
-            seed=seed, runner=runner),
-        "E6A": lambda runner, seed: run_naming_comparison(
-            seed=seed, runner=runner),
-        "E7": lambda runner, seed: run_proof_economics(
-            seed=seed, runner=runner),
-        "E8": lambda runner, seed: run_swarm_availability(
-            seed=seed, runner=runner),
-        "E9": lambda runner, seed: run_quality_vs_quantity(
-            seed=seed, runner=runner),
-        "E11": lambda runner, seed: run_usenet_collapse(
-            seed=seed, runner=runner),
-        "EC": lambda runner, seed: run_censorship_sweep(
-            seed=seed, runner=runner),
-    })
-
-    from repro.analysis import (
-        run_feasibility_cohort,
-        run_federation_availability_cohort,
-        run_quality_vs_quantity_cohort,
-        run_social_tradeoff_cohort,
-    )
-
-    def _devices_kwargs(devices):
-        return {} if devices is None else {"devices": devices}
-
-    _SWEEPABLE_COHORT.update({
-        "E3": lambda runner, seed, devices: run_feasibility_cohort(
-            seed=seed, runner=runner, **_devices_kwargs(devices))["table3"],
-        "E4": lambda runner, seed, devices: run_federation_availability_cohort(
-            seed=seed, runner=runner, **_devices_kwargs(devices)),
-        "E5": lambda runner, seed, devices: run_social_tradeoff_cohort(
-            seed=seed, runner=runner, **_devices_kwargs(devices)),
-        "E9": lambda runner, seed, devices: run_quality_vs_quantity_cohort(
-            seed=seed, runner=runner, **_devices_kwargs(devices)),
-    })
+def _cohort_sweepable() -> List[str]:
+    return sorted(name for name, claim in CLAIMS.items() if claim.cohort)
 
 
 def _sweep(args) -> int:
-    from repro.analysis import SweepCache, SweepRunner
     from repro.errors import SimulationError
 
-    _register_sweeps()
+    claim = CLAIMS.get(args.name.upper())
     if args.engine == "cohort":
-        cohort_driver = _SWEEPABLE_COHORT.get(args.name.upper())
-        if cohort_driver is None:
+        if claim is None or claim.cohort is None:
             print(f"no cohort engine for {args.name!r}; cohort-sweepable:"
-                  f" {', '.join(sorted(_SWEEPABLE_COHORT))}", file=sys.stderr)
+                  f" {', '.join(_cohort_sweepable())}", file=sys.stderr)
             return 2
         if args.devices is not None and args.devices < 1:
             print(f"--devices must be >= 1, got {args.devices}",
                   file=sys.stderr)
             return 2
-        driver = lambda runner, seed: cohort_driver(runner, seed, args.devices)
+        driver = claim.cohort
     else:
-        driver = _SWEEPABLE.get(args.name.upper())
-        if driver is None:
+        if claim is None or not claim.sweepable:
             print(f"unknown sweep {args.name!r}; sweepable:"
-                  f" {', '.join(sorted(_SWEEPABLE))}", file=sys.stderr)
+                  f" {', '.join(_sweepable())}", file=sys.stderr)
             return 2
         if args.devices is not None:
             print("--devices requires --engine cohort", file=sys.stderr)
             return 2
+        driver = claim.driver
     for flag, value in (("--chunksize", args.chunksize),
                         ("--workers", args.workers)):
         if value < 1:
@@ -222,12 +131,17 @@ def _sweep(args) -> int:
             return 2
     runner = SweepRunner(workers=args.workers, cache=cache,
                          chunksize=args.chunksize, metrics=metrics)
+    kwargs = {"runner": runner}
+    if accepts(driver, "seed"):
+        kwargs["seed"] = args.seed
+    if args.devices is not None:
+        kwargs["devices"] = args.devices
     try:
-        rows = driver(runner, args.seed)
+        rows = claim.rows(driver(**kwargs))
     except SimulationError as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
-    print(render_table(list(rows)))
+    print(render_table(rows))
     print()
     print(render_table(runner.stats.summary_rows()))
     if metrics is not None:
@@ -245,19 +159,16 @@ def _sweep(args) -> int:
 def _trace(args) -> int:
     from repro.obs.cli import run_trace
 
-    _register_experiments()
-    return run_trace(args, _EXPERIMENTS)
+    return run_trace(args, {name: claim.run for name, claim in CLAIMS.items()})
 
 
 def _experiment(name: str) -> int:
-    _register_experiments()
-    runner = _EXPERIMENTS.get(name.upper())
-    if runner is None:
+    claim = CLAIMS.get(name.upper())
+    if claim is None:
         print(f"unknown experiment {name!r}; known:"
-              f" {', '.join(sorted(_EXPERIMENTS))}", file=sys.stderr)
+              f" {', '.join(sorted(CLAIMS))}", file=sys.stderr)
         return 2
-    rows = runner()
-    print(render_table(list(rows)))
+    print(render_table(claim.run()))
     return 0
 
 
@@ -360,25 +271,21 @@ def _dispatch(parser: argparse.ArgumentParser,
 
         return run_chaos_command(args)
     elif args.command == "verify":
-        from repro.analysis import verify_reproduction
-
         rows = verify_reproduction()
         print(render_table(rows))
         if any(row["status"] != "PASS" for row in rows):
             return 3
         print("\nAll reproduction targets hold.")
     elif args.command == "list":
-        _register_experiments()
-        _register_sweeps()
         print("tables: table1 table2 table3")
         print("other:  zooko agenda verify lint")
-        print(f"experiments: {' '.join(sorted(_EXPERIMENTS))}")
+        print(f"experiments: {' '.join(sorted(CLAIMS))}")
         print("traceable (python -m repro trace <id> --out t.jsonl):"
-              f" {' '.join(sorted(_EXPERIMENTS))}")
+              f" {' '.join(sorted(CLAIMS))}")
         print(f"sweepable (python -m repro sweep <id> --workers N):"
-              f" {' '.join(sorted(_SWEEPABLE))}")
+              f" {' '.join(_sweepable())}")
         print("cohort engine (python -m repro sweep <id> --engine cohort"
-              f" --devices N): {' '.join(sorted(_SWEEPABLE_COHORT))}")
+              f" --devices N): {' '.join(_cohort_sweepable())}")
         from repro.faults import PRESETS, SCENARIOS
 
         print("chaos (python -m repro chaos <id> --plan <preset>):"

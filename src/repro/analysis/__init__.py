@@ -1,6 +1,7 @@
-"""Experiment drivers and table rendering (the bench layer's engine)."""
+"""Experiment drivers, the table of paper claims, and table rendering."""
 
 from repro.analysis.censorship import run_censorship_sweep
+from repro.analysis.claims import CLAIMS, verify_reproduction
 from repro.analysis.cohort import (
     run_churn_availability,
     run_feasibility_cohort,
@@ -20,7 +21,6 @@ from repro.analysis.experiments import (
     run_social_tradeoff,
     run_swarm_availability,
 )
-from repro.analysis.figures import ascii_plot, sparkline
 from repro.analysis.runner import (
     RunnerStats,
     SweepCache,
@@ -28,8 +28,6 @@ from repro.analysis.runner import (
     canonical_config_hash,
     derive_task_seed,
 )
-from repro.analysis.sweep import cross_product, sweep
-from repro.analysis.verification import verify_reproduction
 from repro.analysis.tables import render_kv, render_table
 
 __all__ = [
@@ -43,8 +41,6 @@ __all__ = [
     "run_proof_economics",
     "run_swarm_availability",
     "run_quality_vs_quantity",
-    "sweep",
-    "cross_product",
     "SweepRunner",
     "SweepCache",
     "RunnerStats",
@@ -52,8 +48,7 @@ __all__ = [
     "derive_task_seed",
     "render_table",
     "render_kv",
-    "sparkline",
-    "ascii_plot",
+    "CLAIMS",
     "verify_reproduction",
     "run_churn_availability",
     "run_federation_availability_cohort",

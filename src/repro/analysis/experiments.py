@@ -1,10 +1,10 @@
-"""Experiment drivers E3-E9 (see DESIGN.md's experiment index).
+"""Experiment drivers E3-E14 (see DESIGN.md's experiment index).
 
 Each function builds a fresh simulated world from a seed, runs one
-experiment, and returns plain dict/list results that benches print and
-tests assert on.  E1/E2 (the taxonomy and storage-system tables) live in
-:mod:`repro.core.taxonomy` and :mod:`repro.storage.systems`; everything
-here exercises behaviour.
+experiment, and returns plain dict/list results that the CLI prints and
+the claims in :mod:`repro.analysis.claims` assert on.  E1/E2 (the
+taxonomy and storage-system tables) live in :mod:`repro.core.taxonomy`
+and :mod:`repro.storage.systems`; everything here exercises behaviour.
 
 Grid-shaped drivers are split in two: a top-level ``_*_point`` function
 computes ONE grid point from explicit JSON-safe kwargs (so it can ship
@@ -30,6 +30,7 @@ from repro.chain import (
     TxKind,
     double_spend_success_probability,
     make_transaction,
+    selfish_mining_revenue,
 )
 from repro.core.feasibility import FeasibilityModel, paper_model
 from repro.crypto import generate_keypair
@@ -82,6 +83,8 @@ __all__ = [
     "run_usenet_collapse",
     "run_endless_ledger",
     "chain_size_bytes",
+    "run_selfish_mining",
+    "run_refeudalization",
     "run_federation_availability",
     "run_partial_federation_sweep",
     "run_social_tradeoff",
@@ -1214,4 +1217,62 @@ def run_endless_ledger(
             }
         )
         t += sample_every
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# E13 (extension) — selfish-mining profitability (§5.1)
+# ---------------------------------------------------------------------------
+
+def run_selfish_mining(seed: int = 1) -> List[Dict[str, object]]:
+    """Extension experiment: Eyal-Sirer selfish-mining revenue share.
+
+    One row per attacker hashrate share ``alpha`` (0.10-0.45): the
+    attacker's revenue share over 300,000 blocks at each ``gamma`` (the
+    fraction of honest miners that build on the attacker's branch during
+    a race; 0, 0.5, 1), beside the ``alpha`` an honest miner earns.
+    Selfish mining pays above alpha = 1/3 at gamma = 0 and at every
+    alpha when gamma = 1.
+    """
+    rows = []
+    for alpha in (0.10, 0.20, 0.30, 0.35, 0.40, 0.45):
+        row: Dict[str, object] = {"alpha": alpha}
+        for gamma in (0.0, 0.5, 1.0):
+            revenue = selfish_mining_revenue(
+                alpha, gamma=gamma, blocks=300_000, seed=seed
+            )
+            row[f"revenue(gamma={gamma})"] = round(revenue, 4)
+        row["honest_revenue"] = alpha
+        rows.append(row)
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# E14 (extension) — re-feudalization under economies of scale (§5.3)
+# ---------------------------------------------------------------------------
+
+def run_refeudalization(seed: int = 1) -> List[Dict[str, object]]:
+    """Extension experiment: does a democratized market re-centralize?
+
+    §5.3: "centralization is frequently driven by economies of scale".
+    A 20-provider market runs 300 rounds once per scale advantage (0,
+    0.1, 0.25); each row reports the survivors, the Herfindahl index and
+    the top provider's share at the end.  With flat costs the market
+    stays fragmented; with scale economies most providers exit.
+    """
+    from repro.core.economics import MarketParams, ProviderMarket
+
+    rows = []
+    for scale_advantage in (0.0, 0.1, 0.25):
+        market = ProviderMarket(
+            20, MarketParams(scale_advantage=scale_advantage),
+            RngStreams(seed),
+        )
+        final = market.run(300)[-1]
+        rows.append({
+            "scale_advantage": scale_advantage,
+            "providers_surviving": final["providers_alive"],
+            "hhi": round(final["hhi"], 3),
+            "top_provider_share": round(final["top_share"], 3),
+        })
     return rows

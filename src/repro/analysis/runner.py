@@ -14,7 +14,7 @@ parallel *and* memoizable, which this module exploits:
   function of the *task*, never of scheduling order.
 * :class:`SweepCache` memoizes completed runs on disk as JSON, keyed by
   ``(experiment name, canonical config hash, code version)``; re-running
-  a bench or CLI sweep with a warm cache performs zero recomputations.
+  a CLI sweep with a warm cache performs zero recomputations.
 * :class:`RunnerStats` records per-task wall time, cache hit/miss
   counters, and worker utilization; ``summary_rows()`` feeds straight
   into :func:`repro.analysis.tables.render_table`.
@@ -82,9 +82,8 @@ def canonical_config_hash(config: Dict[str, Any]) -> str:
 
     Delegates to :func:`repro.crypto.hashing.hash_obj`, which serializes
     with sorted keys — so ``{"a": 1, "b": 2}`` and ``{"b": 2, "a": 1}``
-    hash identically.  This is the invariant that lets
-    :func:`repro.analysis.sweep.cross_product` order axes however the
-    caller likes without perturbing cache identity.
+    hash identically.  This is the invariant that lets a driver build
+    its grid configs in any key order without perturbing cache identity.
     """
     return hash_obj(config)
 

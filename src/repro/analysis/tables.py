@@ -1,7 +1,7 @@
 """Plain-text table rendering for experiment output.
 
-Benches print the same rows the paper reports; these helpers format them
-readably without any plotting dependency.
+The CLI prints the same rows the paper reports; these helpers format
+them readably without any plotting dependency.
 """
 
 from __future__ import annotations

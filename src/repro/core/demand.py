@@ -5,7 +5,7 @@ The natural next question — how many users of which services could that
 device capacity actually serve? — needs per-service demand profiles and
 the overheads decentralization itself introduces (replication for
 device-grade durability, path stretch for overlay routing; both measured
-in E9 and the DHT benches).  This module supplies both, so statements
+in E9 and the DHT tests).  This module supplies both, so statements
 like "the device fleet could host everyone's email but not everyone's
 video" become computations.
 """

@@ -4,7 +4,7 @@ The paper's only quantitative result is a back-of-the-envelope comparison
 of aggregate cloud capacity against the *unproductive* capacity of user
 devices, across three resources: bandwidth, compute, and storage.  This
 module encodes that calculation with every published assumption as an
-explicit, overridable parameter, so the bench regenerates Table 3 exactly
+explicit, overridable parameter, so claim E3 regenerates Table 3 exactly
 and sensitivity sweeps show how robust the "sufficient capacity exists"
 conclusion is.
 

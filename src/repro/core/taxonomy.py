@@ -2,7 +2,7 @@
 
 Each surveyed project is recorded with the decentralization problem(s) it
 tackles, its network model, and which simulated system family in this
-library models its mechanism.  The Table 1 bench *derives* the table from
+library models its mechanism.  Claim E1 *derives* the table from
 this registry instead of printing string constants, and tests check the
 registry against the simulated families actually shipped.
 """

@@ -155,7 +155,7 @@ def run_chaos_command(args) -> int:
         print(f"chaos: no scenario for {args.name!r}; available:"
               f" {', '.join(sorted(SCENARIOS))}", file=sys.stderr)
         return 2
-    if args.interval <= 0:
+    if not args.interval > 0:
         print(f"chaos: --interval must be positive, got {args.interval}",
               file=sys.stderr)
         return 2

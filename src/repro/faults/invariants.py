@@ -124,7 +124,7 @@ class InvariantHarness:
         strict: bool = False,
         extras: Optional[Dict[str, Any]] = None,
     ):
-        if interval <= 0:
+        if not interval > 0:
             raise FaultError(f"sweep interval must be positive: {interval}")
         self.context = InvariantContext(
             sim=sim, network=network, injector=injector,

@@ -225,7 +225,7 @@ class LatencySpike(_WindowFault):
             raise FaultError(
                 f"LatencySpike.factor must be a number, got {self.factor!r}"
             )
-        if self.factor <= 1.0:
+        if not self.factor > 1.0:
             raise FaultError(
                 f"LatencySpike.factor must be > 1, got {self.factor}"
             )

@@ -1,7 +1,7 @@
 """Measurement helpers: counters, time-weighted gauges, and samplers.
 
 Experiments record outcomes through these instead of ad-hoc lists so that
-benches and tests can interrogate results uniformly.
+drivers and tests can interrogate results uniformly.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ shards placed on distinct providers; any ``k`` reachable shards
 reconstruct.  Repair decodes from surviving shards and re-encodes the
 missing ones — cheaper in storage (overhead (k+m)/k vs R) but costlier in
 repair work, the exact trade the §3.3 literature (TotalRecall, Glacier)
-studies and our ablation bench measures.
+studies and our erasure-vs-replication test measures.
 """
 
 from __future__ import annotations

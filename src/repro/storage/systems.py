@@ -2,9 +2,9 @@
 
 Each surveyed storage system is described by its blockchain usage and
 incentive scheme (the paper's two columns) plus the concrete mechanism in
-this library that models it.  The Table 2 bench *runs* each profile's
-mechanism once (a contract, a payment, a proof round) before printing the
-row — the table is behaviourally checked, not transcribed.
+this library that models it.  The tests *run* each profile's mechanism
+once (a contract, a payment, a proof round) and claim E2 checks the rows
+— the table is behaviourally checked, not transcribed.
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import (
-    cross_product,
     naming_attack_curve,
     render_kv,
     render_table,
@@ -14,10 +13,8 @@ from repro.analysis import (
     run_quality_vs_quantity,
     run_social_tradeoff,
     run_swarm_availability,
-    sweep,
 )
 from repro.analysis.experiments import run_moderation_comparison
-from repro.analysis.scorecards import measured_scorecards
 
 
 class TestTableRendering:
@@ -39,40 +36,6 @@ class TestTableRendering:
         out = render_kv({"x": 1, "long_key": 2}, title="T")
         assert out.splitlines()[0] == "T"
         assert "long_key : 2" in out
-
-
-class TestSweepHelpers:
-    def test_sweep_runs_each_value(self):
-        rows = sweep(lambda base, k: base + k, "k", [1, 2, 3], base=10)
-        assert [row["result"] for row in rows] == [11, 12, 13]
-
-    def test_cross_product(self):
-        combos = cross_product(a=[1, 2], b=["x"])
-        assert combos == [{"a": 1, "b": "x"}, {"a": 2, "b": "x"}]
-
-    def test_cross_product_preserves_caller_axis_order(self):
-        # Axes expand in the order the caller named them (the last axis
-        # varies fastest) — NOT alphabetically.
-        combos = cross_product(beta=["x", "y"], alpha=[1, 2])
-        assert combos == [
-            {"beta": "x", "alpha": 1},
-            {"beta": "x", "alpha": 2},
-            {"beta": "y", "alpha": 1},
-            {"beta": "y", "alpha": 2},
-        ]
-        assert [list(combo) for combo in combos] == [["beta", "alpha"]] * 4
-
-    def test_cross_product_axis_order_never_changes_cache_identity(self):
-        # Config hashing canonicalizes with sorted keys, so reordering
-        # axes reorders rows without invalidating any cached result.
-        from repro.analysis import canonical_config_hash
-
-        forward = cross_product(a=[1], b=[2])[0]
-        backward = cross_product(b=[2], a=[1])[0]
-        assert list(forward) != list(backward)  # different row key order
-        assert canonical_config_hash(forward) == canonical_config_hash(
-            backward
-        )
 
 
 class TestDriverShapes:
@@ -139,36 +102,52 @@ class TestDriverShapes:
             assert 0.0 <= row["collateral_block_rate"] <= 1.0
 
 
-class TestMeasuredScorecards:
-    def test_measured_scores_tagged_with_experiments(self):
-        cards = measured_scorecards(seed=2)
-        for name in ("centralized", "federated_replicated", "socially_aware_p2p"):
-            card = cards[name]
-            assert card.evidence["connectedness"].startswith("measured:")
-            assert card.evidence["privacy"].startswith("measured:")
+class TestShapesAcrossParameters:
+    """Claims across a parameter the claims table's calls hold fixed."""
 
-    def test_measured_ordering_matches_paper_claims(self):
-        cards = measured_scorecards(seed=2)
-        # Privacy: P2P > federated (E2E) > centralized.
-        assert (
-            cards["socially_aware_p2p"].score("privacy")
-            >= cards["federated_replicated"].score("privacy")
-            >= cards["centralized"].score("privacy")
-        )
-        # Connectedness: centralized >= socially-aware P2P.
-        assert (
-            cards["centralized"].score("connectedness")
-            >= cards["socially_aware_p2p"].score("connectedness")
-        )
-        # Replicated federation beats single-home on connectedness (E4).
-        assert (
-            cards["federated_replicated"].score("connectedness")
-            > cards["federated_single_home"].score("connectedness")
-        )
+    def test_single_home_loses_exactly_the_failed_share(self):
+        # E4: each dead server cuts off its own users; failover keeps
+        # everyone reading until no server is left.
+        for failed in (0, 1, 2, 3):
+            availability = {
+                row["model"]: row["read_availability"]
+                for row in run_federation_availability(
+                    seed=11, n_servers=5, n_users=20, failed_servers=failed,
+                )
+            }
+            assert availability["single_home"] == pytest.approx(1 - failed / 5)
+            assert availability["replicated_failover"] == 1.0
 
-    def test_paper_priors_untouched_for_unmeasured_properties(self):
-        cards = measured_scorecards(seed=2)
-        assert cards["centralized"].evidence["convenience"] == "paper:qualitative"
+    def test_heavy_device_churn_costs_p2p_availability(self):
+        from repro.net import ChurnProfile
+
+        p2p, central = {}, {}
+        for label, downtime in (("mild", 50.0), ("heavy", 400.0)):
+            availability = {
+                row["system"]: row["availability"]
+                for row in run_social_tradeoff(
+                    seed=5, device_profile=ChurnProfile(
+                        mean_uptime=400.0, mean_downtime=downtime
+                    ),
+                )
+            }
+            p2p[label] = availability["socially_aware_p2p"]
+            central[label] = availability["centralized"]
+        # The server-backed design only needs the reader online.
+        assert p2p["heavy"] <= p2p["mild"]
+        assert central["heavy"] >= p2p["heavy"]
+
+    def test_an_author_who_stays_keeps_an_unpopular_site_up(self):
+        # E8: the always-on author is exactly the centralized crutch.
+        availability = {
+            label: run_swarm_availability(
+                seed=8, offered_loads=(0.5,), author_leaves_at=leaves_at,
+            )[0]["availability"]
+            for leaves_at, label in ((30.0, "early"), (2800.0, "stays"))
+        }
+        assert availability["stays"] > 0.9
+        assert availability["early"] < 0.3
+
 
 class TestPartialFederationSweep:
     """E4P: availability/exposure across the trust spectrum, seed-pinned.

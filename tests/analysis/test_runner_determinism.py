@@ -12,7 +12,6 @@ from repro.analysis import (
     SweepCache,
     SweepRunner,
     derive_task_seed,
-    sweep,
 )
 from repro.analysis.experiments import (
     run_federation_availability,
@@ -80,26 +79,11 @@ def test_worker_count_and_chunking_do_not_perturb_results():
         ) == baseline
 
 
-def test_sweep_helper_routes_through_runner_identically(tmp_path):
-    """The generic ``sweep`` helper: serial == parallel == cached."""
-    kwargs = dict(seed=4, n_servers=3, n_users=6, n_messages=3)
-    serial = sweep(
-        run_federation_availability, "failed_servers", [0, 1, 2], **kwargs
-    )
-    parallel = sweep(
-        run_federation_availability, "failed_servers", [0, 1, 2],
-        runner=SweepRunner(workers=3), **kwargs,
-    )
-    assert parallel == serial
-    sweep(run_federation_availability, "failed_servers", [0, 1, 2],
-          runner=SweepRunner(cache=SweepCache(tmp_path)), **kwargs)
-    replayer = SweepRunner(cache=SweepCache(tmp_path))
-    replay = sweep(
-        run_federation_availability, "failed_servers", [0, 1, 2],
-        runner=replayer, **kwargs,
-    )
-    assert replay == serial
-    assert replayer.stats.misses == 0 and replayer.stats.hits == 3
+def test_other_seeds_draw_other_trajectories():
+    loads = (0.5, 2.0)
+    first = run_swarm_availability(seed=3, offered_loads=loads)
+    other = run_swarm_availability(seed=4, offered_loads=loads)
+    assert first[1]["arrivals"] != other[1]["arrivals"]
 
 
 def _echo_seed(label: str, seed: int = -1):

@@ -164,6 +164,69 @@ class TestMiningNetwork:
         assert network.stale_block_count() > 0
 
 
+class TestConsensusCost:
+    """§3.1: blockchains trade scalability and performance for consensus."""
+
+    def test_name_registration_throughput_saturates_at_block_capacity(self):
+        registered = {}
+        for max_txs in (5, 20):
+            sim = Simulator()
+            users = [generate_keypair(f"tp-user-{i}") for i in range(300)]
+            network = BlockchainNetwork(
+                sim, RngStreams(8),
+                params=ConsensusParams(
+                    target_block_interval=10.0, retarget_interval=1000,
+                    initial_difficulty=100.0,
+                ),
+                propagation_delay=0.2,
+                premine={user.public_key: 10.0 for user in users},
+                max_txs_per_block=max_txs,
+            )
+            network.add_participant("m", hashrate=10.0)
+            network.start()
+            for i, user in enumerate(users):
+                network.submit_transaction(make_transaction(
+                    user, TxKind.NAME_REGISTER,
+                    {"name": f"name-{i}", "value": i}, 0, fee=0.01,
+                ))
+            sim.run(until=400.0)
+            registered[max_txs] = len(
+                network.participant("m").chain.state_at().names
+            )
+        # Small blocks cap registrations near 5 per block whatever the
+        # demand; large blocks clear nearly all 300 in the same time.
+        assert registered[5] < 0.85 * registered[20]
+        assert registered[5] <= 5 * 55
+        assert registered[20] >= 290
+
+    def test_stale_fraction_rises_with_propagation_delay(self):
+        stale_fraction = {}
+        for delay in (0.1, 2.0, 8.0):
+            sim = Simulator()
+            network = BlockchainNetwork(
+                sim, RngStreams(19),
+                params=ConsensusParams(
+                    target_block_interval=10.0, retarget_interval=10_000,
+                    initial_difficulty=100.0,
+                ),
+                propagation_delay=delay,
+            )
+            for i in range(4):
+                network.add_participant(f"m{i}", hashrate=2.5)
+            network.start()
+            sim.run(until=20_000.0)
+            for participant in network.participants():
+                participant.stop_mining()
+            sim.run(until=sim.now + 10 * delay + 1)
+            mined = network.monitor.counters.get("blocks_mined")
+            stale_fraction[delay] = round(
+                network.stale_block_count() / mined, 3
+            )
+        assert stale_fraction[0.1] <= stale_fraction[2.0] <= stale_fraction[8.0]
+        assert stale_fraction[0.1] < 0.05
+        assert stale_fraction[8.0] > 0.15
+
+
 class TestMajorityAttack:
     def test_catch_up_probability_analytic(self):
         assert catch_up_probability(0.6, 5) == 1.0

@@ -99,8 +99,13 @@ class TestTaxonomy:
         assert set(blockstack.problems) == {Problem.NAMING, Problem.DATA_STORAGE}
 
     def test_every_project_maps_to_simulated_family(self):
+        import importlib
+
         for project in PROJECTS:
             assert project.simulated_by.startswith("repro.")
+            module_name, attr = project.simulated_by.rsplit(".", 1)
+            module = importlib.import_module(module_name)
+            assert hasattr(module, attr), project.simulated_by
 
     def test_unknown_problem_rejected(self):
         with pytest.raises(ReproError):

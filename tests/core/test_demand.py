@@ -68,13 +68,15 @@ class TestServeableUsers:
 
 class TestDemandTable:
     def test_headline_narrative(self):
-        # The fleet can host everyone's email/photos/sites, but global
-        # video streaming is bandwidth-infeasible on 1 Mbps uplinks.
+        # The fleet can host everyone's email/photos/feeds/sites, but
+        # global video streaming is bandwidth-infeasible on 1 Mbps uplinks.
         rows = {row["service"]: row for row in demand_table()}
         assert rows["email"]["covers_internet"] is True
+        assert rows["social_feed"]["covers_internet"] is True
         assert rows["web_hosting"]["covers_internet"] is True
         assert rows["photo_sharing"]["covers_internet"] is True
         assert rows["video_streaming"]["covers_internet"] is False
+        assert rows["video_streaming"]["binding_resource"] == "bandwidth"
 
     def test_table_uses_supplied_model(self):
         shrunk = paper_model().with_populations_scaled(0.01)

@@ -76,6 +76,12 @@ class TestMarketDynamics:
         late = history[-1]["hhi"]
         assert late >= early
 
+    def test_concentration_locks_in_over_time(self):
+        _, history = self.run_market(scale_advantage=0.25, seed=2)
+        samples = [history[i] for i in (9, 49, 99, 199, 299)]
+        assert samples[-1]["hhi"] >= samples[0]["hhi"]
+        assert samples[-1]["providers_alive"] < samples[0]["providers_alive"]
+
     def test_shares_sum_to_one(self):
         market, _ = self.run_market(scale_advantage=0.25, rounds=50)
         assert sum(market.demand_shares().values()) == pytest.approx(1.0)

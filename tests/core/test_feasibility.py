@@ -91,12 +91,22 @@ class TestSensitivity:
     def test_upstream_sweep_scales_bandwidth_linearly(self):
         model = paper_model()
         rows = model.sweep(
-            lambda v: model.with_upstream_bps(v * MBPS), [0.01, 1.0, 10.0]
+            lambda v: model.with_upstream_bps(v * MBPS), [0.01, 0.1, 1.0, 10.0]
         )
-        assert rows[1]["bandwidth"] == pytest.approx(25.0)  # 5000/200
-        assert rows[2]["bandwidth"] == pytest.approx(250.0)
-        # Even 10 kbps upstream fails to match cloud bandwidth.
+        assert rows[2]["bandwidth"] == pytest.approx(25.0)  # 5000/200
+        assert rows[3]["bandwidth"] == pytest.approx(250.0)
+        # Sufficiency survives down to 0.1 Mbps upstream (2.5x), but even
+        # 10 kbps fails to match cloud bandwidth.
+        assert rows[1]["bandwidth"] == 2.5
         assert rows[0]["bandwidth"] < 1.0
+
+    def test_compute_crosses_parity_at_the_breakeven_discount(self):
+        model = paper_model()
+        cores = {row["value"]: row["cores"] for row in model.sweep(
+            model.with_core_discount, [4.0, 8.0, 10.0, 16.0]
+        )}
+        assert cores[8.0] > 1.0 > cores[16.0]
+        assert abs(cores[10.0] - 1.0) < 1e-9
 
     def test_population_scaling(self):
         model = paper_model().with_populations_scaled(0.5)

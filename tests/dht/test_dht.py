@@ -248,3 +248,23 @@ class TestKademliaProtocol:
         rpcs_used = network.monitor.counters.get("rpcs_sent") - rpcs_before
         # log2(64)=6 rounds of alpha=3 with some slack; far less than N.
         assert rpcs_used < 40
+
+    def test_lookup_cost_grows_sublinearly_with_overlay_size(self):
+        rpcs_per_lookup = {}
+        for n in (16, 64, 256):
+            sim, network = make_network(seed=2, latency=0.005)
+            overlay = build_overlay(
+                network, [f"n{i}" for i in range(n)], DhtConfig(k=8, alpha=3)
+            )
+            before = network.monitor.counters.get("rpcs_sent")
+
+            def lookups():
+                for i in range(20):
+                    yield from overlay["n0"].lookup(key_for(f"target-{i}"))
+
+            sim.run_process(lookups())
+            rpcs_per_lookup[n] = round(
+                (network.monitor.counters.get("rpcs_sent") - before) / 20, 1
+            )
+        # 16x the nodes must cost far less than 16x the RPCs.
+        assert rpcs_per_lookup[256] < 4 * rpcs_per_lookup[16]

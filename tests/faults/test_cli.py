@@ -52,9 +52,20 @@ class TestExitCodes:
         assert "chaos: Crash.at must be >= 0, got nan" in captured.err
 
     def test_bad_interval_exits_two(self, capsys):
-        code = main(["chaos", "E4", "--plan", "quiet", "--interval", "0"])
-        assert code == 2
-        assert "--interval" in capsys.readouterr().err
+        for interval in ("0", "nan"):
+            code = main(["chaos", "E4", "--plan", "quiet",
+                         "--interval", interval])
+            assert code == 2
+            assert "chaos: --interval" in capsys.readouterr().err
+
+    def test_nan_latency_factor_exits_two(self, tmp_path, capsys):
+        plan = tmp_path / "nan.json"
+        plan.write_text('{"events": [{"kind": "latency_spike",'
+                        ' "factor": NaN, "window": [50, 150]}]}')
+        assert main(["chaos", "E4", "--plan", str(plan)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "chaos: LatencySpike.factor must be > 1, got nan" in captured.err
 
     def test_lowercase_experiment_accepted(self, capsys):
         assert main(["chaos", "e6", "--plan", "quiet"]) == 0

@@ -50,8 +50,9 @@ class TestHarnessMechanics:
 
     def test_invalid_interval_rejected(self):
         sim, _, network = build()
-        with pytest.raises(FaultError):
-            InvariantHarness(sim, network, interval=0.0)
+        for bad in (0.0, float("nan")):
+            with pytest.raises(FaultError):
+                InvariantHarness(sim, network, interval=bad)
 
     def test_duplicate_invariant_rejected(self):
         sim, _, network = build()

@@ -63,7 +63,7 @@ class TestEventValidation:
                 Corrupt(window=(0.0, 1.0), prob=bad)
 
     def test_latency_factor_must_exceed_one(self):
-        for bad in (1.0, 0.5, 0.0, -2.0):
+        for bad in (1.0, 0.5, 0.0, -2.0, float("nan")):
             with pytest.raises(FaultError):
                 LatencySpike(window=(0.0, 1.0), factor=bad)
 

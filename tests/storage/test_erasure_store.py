@@ -2,10 +2,15 @@
 
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import ReproError, StorageError
 from repro.net import ChurnProfile, ConstantLatency, Network, attach_churn
 from repro.sim import RngStreams, Simulator
-from repro.storage import ErasureBlobStore, StorageProvider, make_random_blob
+from repro.storage import (
+    ErasureBlobStore,
+    ReplicatedBlobStore,
+    StorageProvider,
+    make_random_blob,
+)
 
 
 def setup_pool(seed=1, n_providers=10, k=4, m=2, check_interval=30.0):
@@ -193,3 +198,56 @@ class TestErasureStoreEdges:
                 return "short"
 
         assert sim.run_process(scenario()) == "short"
+
+
+class TestErasureVersusReplication:
+    """The same durability problem solved two ways on device churn:
+    (4, 2) erasure stores half of R=3 replication's bytes for the same
+    two-failure tolerance, at the cost of decode-based repair."""
+
+    def run_scheme(self, scheme):
+        sim = Simulator()
+        streams = RngStreams(17)
+        network = Network(sim, streams, latency=ConstantLatency(0.01))
+        providers = [StorageProvider(network, f"p{i}") for i in range(12)]
+        attach_churn(sim, streams, [p.node for p in providers],
+                     ChurnProfile(mean_uptime=400.0, mean_downtime=200.0))
+        blob = make_random_blob(streams, 8 * 1024, chunk_size=1024)
+        if scheme == "replication_r3":
+            store = ReplicatedBlobStore(
+                network, providers, streams,
+                replication_factor=3, check_interval=30.0,
+            )
+            upload, key = store.store(blob), blob.merkle_root
+        else:
+            store = ErasureBlobStore(
+                network, providers, streams, k=4, m=2, check_interval=30.0,
+            )
+            upload, key = store.store(blob.to_bytes(), "doc"), "doc"
+        outcome = {"ok": 0, "attempts": 0}
+
+        def scenario():
+            yield from upload
+            store.start_repair()
+            for _ in range(15):
+                yield 150.0
+                outcome["attempts"] += 1
+                try:
+                    yield from store.retrieve(key)
+                    outcome["ok"] += 1
+                except ReproError:
+                    pass
+            store.stop_repair()
+
+        sim.run_process(scenario(), until=20_000.0)
+        stored = (3 * blob.size_bytes if scheme == "replication_r3"
+                  else store.stored_bytes("doc"))
+        return stored, round(outcome["ok"] / outcome["attempts"], 3)
+
+    def test_erasure_halves_the_bytes_at_equal_availability(self):
+        replication_bytes, replication_availability = self.run_scheme(
+            "replication_r3")
+        erasure_bytes, erasure_availability = self.run_scheme("erasure_4_2")
+        assert erasure_bytes < 0.6 * replication_bytes
+        assert replication_availability >= 0.85
+        assert erasure_availability >= 0.85

@@ -214,6 +214,32 @@ class TestTable2Profiles:
             market2_deal = sim.run_process(scenario(profile.proof_kind))
             assert market2_deal.state in (DealState.COMPLETED, DealState.ACTIVE)
 
+    def test_every_profile_pays_an_honest_provider(self):
+        # Each Table 2 row's mechanism runs before the row is trusted: a
+        # deal forms under the profile's proof kind, one audit epoch
+        # runs, and the honest provider is paid for it.
+        for profile in TABLE2_SYSTEMS:
+            sim = Simulator()
+            streams = RngStreams(42)
+            network = Network(sim, streams, latency=ConstantLatency(0.01))
+            market = StorageMarketplace(network, streams)
+            market.register_provider(StorageProvider(network, "provider"))
+            network.create_node("consumer")
+            market.ledger.credit("consumer", 100.0)
+            blob = make_random_blob(streams, 8 * 1024, chunk_size=1024)
+
+            def scenario():
+                deal = yield from market.make_deal(
+                    "consumer", blob, epochs=1,
+                    proof_kind=profile.proof_kind, price_per_epoch=1.0,
+                )
+                yield from market.run_epoch()
+                return deal
+
+            deal = sim.run_process(scenario())
+            assert deal.state == DealState.COMPLETED, profile.name
+            assert deal.epochs_paid == 1, profile.name
+
     def test_profile_lookup(self):
         assert profile_for("filecoin").name == "Filecoin"
         with pytest.raises(StorageError):

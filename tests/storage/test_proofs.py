@@ -104,6 +104,30 @@ class TestDroppingProvider:
         failures = sim.run_process(scenario())
         assert 25 < failures < 80  # expected ~50 (25% of 200)
 
+    def test_challenge_failure_rate_tracks_every_dropped_fraction(self):
+        # Soundness: a single challenge fails with probability equal to
+        # the dropped fraction, so multi-round detection is exponential.
+        for fraction in (0.1, 0.25, 0.5, 0.75):
+            sim, streams, network, verifier = setup(seed=13)
+            provider = StorageProvider(network, "prov")
+            blob = make_random_blob(streams, 200 * 512, chunk_size=512)
+            provider.accept_blob(blob)
+            provider.drop_chunks(blob.merkle_root, fraction,
+                                 streams.stream("d"))
+
+            def scenario():
+                failures = 0
+                for _ in range(200):
+                    outcome = yield from verifier.challenge_once(
+                        "prov", commit(blob)
+                    )
+                    if not outcome.ok:
+                        failures += 1
+                return failures
+
+            rate = sim.run_process(scenario()) / 200
+            assert rate == pytest.approx(fraction, abs=0.12)
+
     def test_multi_round_audit_catches_small_drops(self):
         sim, streams, network, verifier = setup(seed=6)
         provider = StorageProvider(network, "p1")

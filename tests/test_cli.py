@@ -173,3 +173,30 @@ class TestVerifyCommand:
         assert "PASS" in out
         assert "FAIL" not in out
         assert "All reproduction targets hold." in out
+
+    def test_failing_claim_exits_three_naming_its_assert(
+        self, capsys, monkeypatch
+    ):
+        import dataclasses
+
+        from repro.analysis import claims
+
+        wrong_table = [{"problem": "Naming", "projects": "DNS"}]
+        broken = dataclasses.replace(
+            claims.CLAIMS["E1"], driver=lambda: wrong_table
+        )
+        monkeypatch.setattr(claims, "CLAIMS", {"E1": broken})
+        assert main(["verify"]) == 3
+        [row] = capsys.readouterr().out.splitlines()[2:]
+        assert row.startswith("E1 ")
+        assert "FAIL" in row and 'assert projects["Naming"] ==' in row
+
+    def test_stripped_asserts_never_pass(self):
+        result = subprocess.run(
+            [sys.executable, "-O", "-m", "repro", "verify"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)}, timeout=120,
+        )
+        assert result.returncode == 3
+        assert "PASS" not in result.stdout
+        assert "python -O strips" in result.stdout

@@ -326,7 +326,7 @@ class TestHashObjProperties:
 
 
 # ---------------------------------------------------------------------------
-# DHT ids and figures
+# DHT ids
 # ---------------------------------------------------------------------------
 
 class TestDhtIdProperties:
@@ -346,35 +346,3 @@ class TestDhtIdProperties:
 
         assert 0 <= node_id_for(name) < 2**ID_BITS
         assert 0 <= key_for(name) < 2**ID_BITS
-
-
-class TestFigureProperties:
-    @given(values=st.lists(
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-        min_size=1, max_size=60,
-    ))
-    @settings(max_examples=50, deadline=None)
-    def test_sparkline_length_and_charset(self, values):
-        from repro.analysis import sparkline
-        from repro.analysis.figures import _BLOCKS
-
-        line = sparkline(values)
-        assert len(line) == len(values)
-        assert set(line) <= set(_BLOCKS)
-
-    @given(
-        n=st.integers(min_value=1, max_value=30),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_ascii_plot_has_fixed_frame(self, n, seed):
-        import random
-
-        from repro.analysis import ascii_plot
-
-        rng = random.Random(seed)
-        xs = [rng.uniform(-10, 10) for _ in range(n)]
-        ys = [rng.uniform(-10, 10) for _ in range(n)]
-        out = ascii_plot(xs, ys, width=30, height=8)
-        assert len(out.splitlines()) == 8 + 3
-        assert "*" in out
