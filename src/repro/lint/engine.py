@@ -43,7 +43,12 @@ from typing import (
 from repro.errors import ReproError
 from repro.lint.cache import LintCache
 from repro.lint.findings import Finding
-from repro.lint.index import ModuleFragment, ProjectIndex, build_fragment
+from repro.lint.index import (
+    ModuleFragment,
+    ProjectIndex,
+    build_fragment,
+    module_parts,
+)
 
 __all__ = [
     "RULE_PACK_VERSION",
@@ -63,7 +68,7 @@ __all__ = [
 #: Version of the rule pack and fragment layout.  Bump whenever a rule's
 #: behaviour or the :class:`~repro.lint.index.ModuleFragment` schema
 #: changes, so stale cache entries miss instead of replaying old results.
-RULE_PACK_VERSION = 3
+RULE_PACK_VERSION = 4
 
 
 class LintError(ReproError):
@@ -111,10 +116,10 @@ def _noqa_map_from_source(source: str) -> Dict[int, Set[str]]:
 class LintContext:
     """Everything a per-file rule may inspect about one source file.
 
-    ``module_parts`` is the path split on separators, truncated to start
-    at the last ``repro`` component when one is present — so rules can
-    reason about *package* location (``("repro", "sim", "rng.py")``)
-    regardless of where the checkout lives.
+    ``module_parts`` places the file in the project (see
+    :func:`repro.lint.index.module_parts`), so rules can reason about
+    *package* location (``("repro", "sim", "rng.py")``) regardless of
+    where the checkout lives.
     """
 
     def __init__(self, path: str, source: str, tree: ast.Module):
@@ -122,11 +127,7 @@ class LintContext:
         self.source = source
         self.tree = tree
         self.lines = source.splitlines()
-        parts: Tuple[str, ...] = Path(path).parts
-        if "repro" in parts:
-            last = len(parts) - 1 - tuple(reversed(parts)).index("repro")
-            parts = parts[last:]
-        self.module_parts = parts
+        self.module_parts = module_parts(path)
         self._noqa: Optional[Dict[int, Set[str]]] = None
 
     def in_package(self, *names: str) -> bool:

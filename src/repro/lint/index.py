@@ -33,6 +33,7 @@ across runs without re-parsing unchanged files.
 from __future__ import annotations
 
 import ast
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -51,6 +52,7 @@ __all__ = [
     "StreamSite",
     "attr_chain",
     "build_fragment",
+    "module_parts",
 ]
 
 #: Packages whose code runs inside the simulated world (DET002/DET006
@@ -275,6 +277,32 @@ class ModuleFragment:
         )
 
 
+#: A directory holding one of these is the root of a checkout.
+_CHECKOUT_MARKERS = ("pyproject.toml", "setup.py", ".git")
+
+
+def module_parts(path: str) -> Tuple[str, ...]:
+    """The path components that place a file in the project.
+
+    Components above the file's checkout (the nearest directory holding
+    a ``pyproject.toml``, ``setup.py`` or ``.git``) are dropped, so a
+    checkout under a directory named ``sim`` or ``repro`` lints like any
+    other, and a path in a ``repro`` tree starts at its last ``repro``
+    component (``("repro", "sim", "rng.py")``).  A file in no checkout
+    keeps every component of the path as given.
+    """
+    parts: Tuple[str, ...] = Path(path).parts
+    absolute = Path(os.path.abspath(path))
+    for root in absolute.parents:
+        if any((root / marker).exists() for marker in _CHECKOUT_MARKERS):
+            parts = absolute.relative_to(root).parts
+            break
+    if "repro" in parts:
+        last = len(parts) - 1 - tuple(reversed(parts)).index("repro")
+        parts = parts[last:]
+    return parts
+
+
 def _module_identity(path: str) -> Tuple[str, str, bool, Tuple[str, ...]]:
     """Derive (dotted module, parent package, is_package, module_parts).
 
@@ -284,20 +312,17 @@ def _module_identity(path: str) -> Tuple[str, str, bool, Tuple[str, ...]]:
     (fixtures, tests) walk up through ``__init__.py`` markers to find
     their package root; a bare file is its own single-segment module.
     """
-    parts: Tuple[str, ...] = Path(path).parts
-    if "repro" in parts:
-        last = len(parts) - 1 - tuple(reversed(parts)).index("repro")
-        module_parts = parts[last:]
-        names = list(module_parts[:-1])
-        leaf = module_parts[-1]
+    parts = module_parts(path)
+    if parts[:1] == ("repro",):
+        names = list(parts[:-1])
+        leaf = parts[-1]
         is_package = leaf == "__init__.py"
         if not is_package:
             names.append(leaf[:-3] if leaf.endswith(".py") else leaf)
         module = ".".join(names)
         package = ".".join(names[:-1])
-        return module, package, is_package, module_parts
+        return module, package, is_package, parts
     file_path = Path(path)
-    module_parts = parts
     leaf = file_path.name
     is_package = leaf == "__init__.py"
     names = [] if is_package else [file_path.stem or "_module"]
@@ -312,7 +337,7 @@ def _module_identity(path: str) -> Tuple[str, str, bool, Tuple[str, ...]]:
         names = [directory.name or "_module"]
     module = ".".join(names)
     package = ".".join(names[:-1])
-    return module, package, is_package, module_parts
+    return module, package, is_package, parts
 
 
 def _is_type_checking_test(test: ast.expr) -> bool:

@@ -487,7 +487,7 @@ class Network:
 
         A method bound once per network rather than a per-message
         closure, so an in-flight leg costs two GC-tracked objects: its
-        event (which is its own heap entry) and args tuple.  Checks run
+        event (a heap entry or a chain link) and args tuple.  Checks run
         offline → censor → partition → corrupt, each reading transport
         state at arrival, so faults landing mid-flight still kill it.
         """

@@ -12,6 +12,17 @@ Determinism guarantees
   :class:`repro.sim.rng.RngStreams`, which derives independent seeded
   streams by name.  The engine itself is randomness-free.
 
+The event queue
+---------------
+``Simulator._queue`` is a heap of chain heads ordered by ``(time, seq)``:
+``schedule`` links an event behind the last scheduled one when both
+fall on one instant, so a flood wave is one heap entry, not one per
+leg.  A chain holds consecutive seqs and every other head at its
+instant was pushed before it began or after it ended, so the fired
+head's successor is the smallest entry and takes ``queue[0]`` with no
+sift.  ``run`` advances the queue *before* each callback: a callback
+that schedules at that instant or raises finds the queue consistent.
+
 Subscription and cancellation
 -----------------------------
 Every wait a process enters — a :class:`Timeout`, a :class:`Signal`, a
@@ -54,8 +65,9 @@ Typical usage::
 
 from __future__ import annotations
 
-import heapq
+import math
 from functools import partial
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.errors import SimulationError
@@ -577,14 +589,15 @@ class Process:
 
 
 class _ScheduledEvent(List[Any]):
-    """Handle for one scheduled callback, and its own heap entry.
+    """Handle for one scheduled callback, and its own queue entry.
 
-    The entry is ``[time, seq, callback, args, sim]``: ``seq`` is
+    The entry is ``[time, seq, callback, args, sim, next]``: ``seq`` is
     unique, so list comparison resolves at C speed on the first two
     items and never calls back into Python, and an event costs one
     GC-tracked object (plus its args tuple) instead of a handle and a
     ``(time, seq, event)`` heap tuple.  ``callback is None`` marks an
-    event that was popped or cancelled.
+    event that was fired or cancelled; ``next`` links the chain of its
+    instant (only a chain's head is in the heap; see the module doc).
     """
 
     __slots__ = ()
@@ -600,8 +613,8 @@ class _ScheduledEvent(List[Any]):
     def cancel(self) -> None:
         """Idempotent; cancelling an already-executed event is a no-op.
 
-        A cancelled event stays in the heap as a tombstone (removal from
-        the middle of a binary heap is O(n)) holding neither its
+        A cancelled event stays queued as a tombstone (removal from the
+        middle of a binary heap or a chain is O(n)) holding neither its
         callback nor its arguments; the owning simulator counts
         tombstones so queue-depth accounting stays exact and O(1).  The
         ``event_cancelled`` trace and ``sim.events_cancelled`` counter
@@ -618,6 +631,10 @@ class _ScheduledEvent(List[Any]):
             sim._tracer.emit("event_cancelled", t=sim.now, event_seq=self[1])
         if sim._metrics is not None:
             sim._metrics.inc("sim.events_cancelled")
+
+
+#: The tail of a simulator whose last scheduled event has left the queue.
+_NO_TAIL = _ScheduledEvent((math.nan, -1, None, (), None, None))
 
 
 class Simulator:
@@ -656,10 +673,13 @@ class Simulator:
         self._metrics = metrics
         self.now: float = 0.0
         self._queue: List[_ScheduledEvent] = []
+        self._tail = _NO_TAIL
+        self._tail_at = math.nan
         self._seq = 0
         self._running = False
         self._processed = 0
-        self._tombstones = 0  # cancelled events still sitting in the heap
+        self._tombstones = 0  # cancelled events still queued
+        self._drained = 0  # cancelled events the run loop has dropped
         self._stale_resumes = 0  # wake-ups delivered to dead processes
 
     @property
@@ -678,7 +698,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Live events still queued (cancelled tombstones excluded)."""
-        return len(self._queue) - self._tombstones
+        return self._seq - self._processed - self._drained - self._tombstones
 
     @property
     def stale_resumes(self) -> int:
@@ -703,8 +723,13 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         at = self.now + delay
-        event = _ScheduledEvent((at, seq, callback, args, self))
-        heapq.heappush(self._queue, event)
+        event = _ScheduledEvent((at, seq, callback, args, self, None))
+        if at == self._tail_at:
+            self._tail[5] = event
+        else:
+            heappush(self._queue, event)
+            self._tail_at = at
+        self._tail = event
         if self._tracer is not None:
             self._tracer.emit(
                 "event_scheduled", t=self.now, at=at,
@@ -747,37 +772,52 @@ class Simulator:
         """Run until the queue empties or simulated time passes ``until``.
 
         Returns the final simulated time.  ``max_events`` guards against
-        runaway simulations (raises :class:`SimulationError` when hit).
+        runaway simulations: :class:`SimulationError` is raised when a
+        live event beyond that many would fire.
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run)")
+        if until is not None and until != until:
+            raise SimulationError(f"cannot run until {until}")
         self._running = True
         tracer = self._tracer
         metrics = self._metrics
         try:
-            budget = max_events
+            limit = self._processed + max_events
             queue = self._queue
-            pop = heapq.heappop
             while queue:
                 event = queue[0]
                 callback = event[2]
+                if callback is not None:
+                    if until is not None and event[0] > until:
+                        break
+                    if self._processed >= limit:
+                        raise SimulationError(
+                            f"exceeded max_events={max_events};"
+                            " runaway simulation?")
+                successor = event[5]
+                if successor is None:
+                    heappop(queue)
+                    if event is self._tail:
+                        self._tail = _NO_TAIL
+                        self._tail_at = math.nan
+                else:
+                    queue[0] = successor
+                    event[5] = None
                 if callback is None:
                     # Tombstone: already traced/counted at cancel time.
-                    pop(queue)
                     self._tombstones -= 1
+                    self._drained += 1
                     if metrics is not None:
                         metrics.inc("sim.tombstones_drained")
                     continue
-                if until is not None and event[0] > until:
-                    break
-                pop(queue)
-                event[2] = None  # popped: cancel() is now a no-op
+                event[2] = None  # fired: cancel() is now a no-op
                 self.now = event[0]
                 self._processed += 1
                 if tracer is not None or metrics is not None:
-                    # One depth computation shared by both hooks (the
-                    # pending_events property re-derives it each call).
-                    depth = len(queue) - self._tombstones
+                    # One depth computation shared by both hooks.
+                    depth = (self._seq - self._processed - self._drained
+                             - self._tombstones)
                     if tracer is not None:
                         tracer.emit(
                             "event_fired", t=self.now, event_seq=event[1],
@@ -788,11 +828,6 @@ class Simulator:
                         metrics.inc("sim.events_fired")
                         metrics.observe("sim.queue_depth", depth)
                 callback(*event[3])
-                budget -= 1
-                if budget <= 0:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; runaway simulation?"
-                    )
             if until is not None and self.now < until:
                 self.now = until
         finally:
@@ -813,6 +848,8 @@ class Simulator:
         scheduled.  Pass a horizon when they are; raises if the process has
         not finished by then.
         """
+        if until is not None and until != until:
+            raise SimulationError(f"cannot run until {until}")
         process = self.spawn(generator, name)
         if until is None:
             self.run()

@@ -1,5 +1,6 @@
 """Framework behavior: fixtures, suppression, selection, ordering."""
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,30 @@ class TestFixtures:
         findings = lint_paths([str(FIXTURES)])
         keys = [f.sort_key() for f in findings]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("parents", [("chain", "net"), ("repro",)])
+    def test_findings_do_not_depend_on_where_the_checkout_lives(
+        self, tmp_path, parents
+    ):
+        # A checkout under directories named like simulated packages, or
+        # like the package itself, lints its fixtures as this one does.
+        checkout = tmp_path.joinpath(*parents)
+        relative = FIXTURES.relative_to(FIXTURES.parents[2])
+        shutil.copytree(FIXTURES, checkout / relative)
+        (checkout / "pyproject.toml").write_text("")
+
+        def findings_per_file(fixtures):
+            per_file = {
+                str(path.relative_to(fixtures)):
+                    {f.rule_id for f in lint_file(str(path))}
+                for path in sorted(fixtures.rglob("*.py"))
+            }
+            walk = {(str(Path(f.path).relative_to(fixtures)), f.rule_id,
+                     f.line) for f in lint_paths([str(fixtures)])}
+            return per_file, walk
+
+        assert findings_per_file(checkout / relative) == \
+            findings_per_file(FIXTURES)
 
     def test_overlapping_paths_report_each_finding_once(self):
         once = lint_paths([str(FIXTURES)])

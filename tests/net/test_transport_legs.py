@@ -2,9 +2,10 @@
 
 An in-flight leg is an arrival method bound once per network plus its
 arguments, not a closure: two GC-tracked objects (the
-``_ScheduledEvent``, which is its own heap entry, and its args tuple).
-A closure with its cells costs 11, and at the heap depths of a message
-flood the cyclic collector rescans every one of them on each pass.
+``_ScheduledEvent``, which is a heap entry or a link in its instant's
+chain, and its args tuple).  A closure with its cells costs 11, and at
+the queue depths of a message flood the cyclic collector rescans every
+one of them on each pass.
 
 An RPC attempt is one call object that is the caller's wait, the
 response target and the timeout callback.  In flight, with its caller
@@ -12,7 +13,7 @@ process, it holds at most 14 GC-tracked objects (a
 ``Signal`` + ``Timeout`` + ``AnyOf`` wait held 30; a process parked on
 ``yield 30.0`` holds 9), and it costs three engine events when answered
 and two when it times out.  A cancelled event keeps neither its
-callback nor its arguments alive while it waits in the heap.
+callback nor its arguments alive while it waits in the queue.
 """
 
 import gc

@@ -103,6 +103,54 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.run(max_events=100)
 
+    def test_max_events_allows_exactly_the_budget(self):
+        # Three live events fit a budget of three, and a cancelled one
+        # behind them is not an event beyond it.
+        sim = Simulator()
+        fired = []
+        for i in range(3):
+            sim.schedule(1.0 + i, fired.append, i)
+        sim.schedule(9.0, fired.append, "cancelled").cancel()
+        assert sim.run(max_events=3) == 3.0
+        assert fired == [0, 1, 2]
+        assert sim.pending_events == 0
+
+    def test_max_events_raises_before_the_event_beyond_it(self):
+        sim = Simulator()
+        fired = []
+        for i in range(4):
+            sim.schedule(1.0 + i, fired.append, i)
+        with pytest.raises(SimulationError, match="max_events=3"):
+            sim.run(max_events=3)
+        assert fired == [0, 1, 2]
+        assert sim.pending_events == 1
+        assert sim.run() == 4.0 and fired == [0, 1, 2, 3]
+
+    def test_run_until_nan_rejected_before_anything_fires(self):
+        # Every comparison with NaN is false: the horizon would never
+        # stop the run and every queued event would fire.
+        sim = Simulator()
+        fired = []
+        for t in (1.0, 5.0, 100.0):
+            sim.schedule(t, fired.append, t)
+        with pytest.raises(SimulationError, match="nan"):
+            sim.run(until=float("nan"))
+        assert fired == [] and sim.now == 0.0 and sim.pending_events == 3
+        assert sim.run(until=float("inf")) == float("inf")
+        assert fired == [1.0, 5.0, 100.0]
+
+    def test_run_process_until_nan_rejected_before_anything_fires(self):
+        sim = Simulator()
+        steps = []
+
+        def proc():
+            steps.append(sim.now)
+            yield 1.0
+
+        with pytest.raises(SimulationError, match="cannot run until nan"):
+            sim.run_process(proc(), until=float("nan"))
+        assert steps == [] and sim.pending_events == 0
+
 
 class TestProcesses:
     def test_process_sleeps_with_numeric_yield(self):
