@@ -62,8 +62,7 @@ class Scorecard:
     """Qualitative scores in [0, 1] per property for one system family.
 
     ``evidence`` maps a property to the experiment id (DESIGN.md E-number)
-    or measurement that backs the score; :meth:`attach_measurement` lets
-    experiment drivers replace a prior score with a measured one.
+    or measurement that backs the score.
     """
 
     system: str
@@ -81,10 +80,6 @@ class Scorecard:
 
     def score(self, prop: str) -> Optional[float]:
         return self.scores.get(prop)
-
-    def attach_measurement(self, prop: str, measured: float, experiment: str) -> None:
-        """Replace a qualitative score with a measured one (clamped)."""
-        self.set_score(prop, max(0.0, min(1.0, measured)), f"measured:{experiment}")
 
     def dominates(self, other: "Scorecard", props: List[str]) -> bool:
         """True when this system weakly beats ``other`` on every listed
@@ -105,8 +100,7 @@ def _card(system: str, **scores: float) -> Scorecard:
     return card
 
 
-# The paper's qualitative landscape, §2.1 + §3.2 prose, as priors that
-# experiments overwrite with measurements (see repro.analysis).
+# The paper's qualitative landscape, §2.1 + §3.2 prose.
 PAPER_SCORECARDS: Dict[str, Scorecard] = {
     "centralized": _card(
         "centralized",

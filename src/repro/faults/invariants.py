@@ -14,8 +14,8 @@ Built-in invariant factories (the registry the docs catalog lists):
   must balance: ``sent == delivered + dropped + in_flight`` with
   ``in_flight >= 0``.
 * :func:`no_double_resume` — no wake-up is ever delivered to a finished
-  process (``Simulator.stale_resumes == 0``): the leak class the PR 3
-  combinator fixes closed stays closed under faults.
+  process (``Simulator.stale_resumes == 0``): each wait resumes its
+  process exactly once, under faults too.
 * :func:`monotonic` — a scenario-supplied gauge (chain height, repair
   bytes, names registered) never decreases.
 * :func:`eventually` — a liveness deadline: the predicate must hold by
@@ -251,8 +251,8 @@ def no_double_resume() -> Invariant:
     return Invariant(
         name="no_double_resume",
         description=(
-            "combinator subscriptions never leak: zero resumes delivered"
-            " to finished processes"
+            "each wait resumes its process exactly once: zero resumes"
+            " delivered to finished processes"
         ),
         check=check,
     )

@@ -72,7 +72,7 @@ from repro.errors import (
 )
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.node import Node, NodeClass
-from repro.sim.engine import CancelFn, Simulator, _Waitable
+from repro.sim.engine import Simulator, _Waitable
 from repro.sim.monitor import Monitor
 from repro.sim.rng import RngStreams
 
@@ -275,16 +275,14 @@ class _RpcCall(_Waitable):
     ``yield call`` subscribes the caller: the call keeps the caller's
     bound ``_resume`` and schedules its timer right after the request
     leg, so the timer precedes any response due at the same instant and
-    wins the tie.  The engine event that decides the call resumes the
-    caller directly: the response arrival (:meth:`resolve`; the
-    caller's ``_resume`` first calls :meth:`cancel`, which tombstones
-    the timer) or the timer (:meth:`expire`, resuming with
-    ``_TIMED_OUT``).  Once settled — answered, timed out, or left by an
-    interrupted caller through :meth:`cancel` — whatever reaches the
-    call later is a no-op.
+    wins the tie.  The engine event that comes first settles the call
+    and resumes the caller: the response arrival (:meth:`resolve`,
+    which tombstones the timer first) or the timer (:meth:`expire`,
+    resuming with ``_TIMED_OUT``).  A response that reaches a settled
+    call is a no-op.
 
     In flight (request sent, no response yet) the call and its caller
-    process hold at most 14 GC-tracked objects (the budget in
+    process hold at most 13 GC-tracked objects (the budget in
     ``tests/net/test_transport_legs.py``).
     """
 
@@ -309,36 +307,30 @@ class _RpcCall(_Waitable):
         self.resume: Optional[Callable[[Any], None]] = None
         self.timer: Optional["_ScheduledEvent"] = None
 
-    def _subscribe(self, sim: Simulator, process: "Process") -> CancelFn:
+    def _subscribe(self, sim: Simulator, process: "Process") -> None:
         self.resume = process._resume
         self.timer = sim.schedule(self.timeout, self.expire)
-        return self.cancel
 
     def resolve(self, value: Any) -> None:
-        """The response arrived: resume the caller if it still waits."""
-        resume = self.resume
-        if resume is not None:
+        """The response arrived: unless the timer settled the call
+        first, tombstone the timer and resume the caller."""
+        resume, timer = self.resume, self.timer
+        if resume is not None and timer is not None:
+            self.resume = self.timer = None
+            timer.cancel()
             resume(value)
 
     def expire(self) -> None:
-        """The timer fired: resume the caller if it still waits."""
+        """The timer fired first: resume the caller with ``_TIMED_OUT``."""
         resume = self.resume
         if resume is not None:
-            self.timer = None  # popped: nothing left to cancel
+            self.resume = self.timer = None
             resume(_TIMED_OUT)
 
     def reply(self, value: Any) -> None:
         """A generator handler finished: send its value back."""
         self.network._rpc_respond(self.src, self.dst, value,
                                   self.response_bytes, self)
-
-    def cancel(self) -> None:
-        """Settle the call as its caller leaves the wait (idempotent)."""
-        self.resume = None
-        timer = self.timer
-        if timer is not None:
-            self.timer = None
-            timer.cancel()
 
 
 class Network:
@@ -457,9 +449,9 @@ class Network:
         self._flow_sent += 1
         if self._tracer is not None or self._metrics is not None:
             self._msg_event("msg_send", src_id, dst_id, method, size_bytes)
-        # Loss/latency fault checks inlined (not via _dropped()/_delay()):
-        # this is the hottest path in the library and the quiet-plan cost
-        # budget is one pointer check per hook, not a method call.
+        # Loss/latency fault checks inlined: this is the hottest path in
+        # the library and the quiet-plan cost budget is one pointer check
+        # per hook, not a method call.
         faults = self._faults
         if (self.loss_rate > 0
                 and self._loss_rng.random() < self.loss_rate) or (
@@ -726,7 +718,7 @@ class Network:
             process = self.sim.spawn(
                 _faults_to_value(result), name=f"{dst_id}.{method}"
             )
-            process.completion._subscribe_callback(self.sim, call.reply)
+            process.completion._add_waiter(self.sim, call.reply)
         else:
             self._rpc_respond(src, dst, result, response_bytes, call)
 
@@ -900,39 +892,6 @@ class Network:
             else:
                 self._metrics.inc("net.messages_dropped")
                 self._metrics.inc(f"net.messages_dropped.{reason}")
-
-    # The three fault predicates below are the reference implementations
-    # (exercised directly by the injector tests).  The send paths (send /
-    # _rpc_attempt / _rpc_respond) and the arrival methods (_deliver /
-    # _rpc_arrive / _deliver_response) inline the same logic — identical
-    # draw order — to keep the quiet-plan cost at one pointer check per
-    # hook; keep both in sync.
-
-    def _dropped(self) -> bool:
-        if self.loss_rate > 0 and self._loss_rng.random() < self.loss_rate:
-            return True
-        faults = self._faults
-        return (
-            faults is not None
-            and faults.drop_prob > 0
-            and faults.drop_rng.random() < faults.drop_prob
-        )
-
-    def _corrupted(self) -> bool:
-        """Receiver-side checksum rejection while a Corrupt window is open."""
-        faults = self._faults
-        return (
-            faults is not None
-            and faults.corrupt_prob > 0
-            and faults.corrupt_rng.random() < faults.corrupt_prob
-        )
-
-    def _delay(self, src: Node, dst: Node, size_bytes: int) -> float:
-        delay = self.latency.delay(src, dst, size_bytes)
-        faults = self._faults
-        if faults is not None and faults.latency_factor != 1.0:
-            delay *= faults.latency_factor
-        return delay
 
     def _censored(self, src_id: str, dst_id: str, method: str) -> bool:
         """Delivery-time censor verdict for one message leg.

@@ -24,7 +24,7 @@ kind                 emitted by
 ``event_fired``      the :meth:`Simulator.run` loop
 ``event_cancelled``  event cancellation (at cancel time, drained or not)
 ``process_spawned``  :meth:`Simulator.spawn`
-``process_finished`` a process generator returning / being interrupted
+``process_finished`` a process generator returning
 ``queue_depth``      periodic queue-depth samples from the run loop
 ``msg_send``         :meth:`Network.send` / request legs of ``rpc``
 ``msg_deliver``      successful delivery at the destination

@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`Simulator` — the event loop; spawn generator processes on it.
-* :class:`Process`, :class:`Signal`, :class:`Timeout`, :class:`AllOf`,
-  :class:`AnyOf`, :class:`Interrupt` — process combinators.
+* :class:`Process` and what it waits on, one wait at a time:
+  :class:`Signal`, :class:`Timeout`, :class:`AllOf`.
 * :class:`RngStreams` — named deterministic randomness.
 * :class:`DeviceCohort`, :class:`CohortEngine` — the vectorized batch
   engine for population-scale (10^5-10^6 device) experiments.
@@ -13,15 +13,7 @@ Public surface:
 """
 
 from repro.sim.cohort import CohortEngine, DeviceCohort
-from repro.sim.engine import (
-    AllOf,
-    AnyOf,
-    Interrupt,
-    Process,
-    Signal,
-    Simulator,
-    Timeout,
-)
+from repro.sim.engine import AllOf, Process, Signal, Simulator, Timeout
 from repro.sim.monitor import Counter, Monitor, Sampler, TimeWeightedGauge, summarize
 from repro.sim.rng import RngStreams, derive_seed, seeded_generator, seeded_rng
 
@@ -34,8 +26,6 @@ __all__ = [
     "Signal",
     "Timeout",
     "AllOf",
-    "AnyOf",
-    "Interrupt",
     "RngStreams",
     "derive_seed",
     "seeded_rng",

@@ -23,26 +23,19 @@ head's successor is the smallest entry and takes ``queue[0]`` with no
 sift.  ``run`` advances the queue *before* each callback: a callback
 that schedules at that instant or raises finds the queue consistent.
 
-Subscription and cancellation
------------------------------
-Every wait a process enters — a :class:`Timeout`, a :class:`Signal`, a
-combinator — registers a *subscription* that returns a cancel handle.
-The engine uses these to keep the event queue tight:
-
-* A process that resumes (normally or via :class:`Interrupt`) tears down
-  the subscription for the wait it is leaving, so a signal can never
-  re-resume a process that has moved on (the classic double-resume bug).
-* :class:`AnyOf` cancels its losing children the moment the first child
-  completes: a losing ``Timeout``'s heap entry is invalidated instead of
-  sitting in the queue until it expires, and a losing ``Signal`` waiter
-  is pruned from the waiter list.  (A losing ``Process`` keeps *running*
-  — only the join subscription is dropped.)
-* :meth:`Signal.fire` skips waiters whose process has died, and prunes
-  cancelled entries, instead of scheduling dead resumes.
-* A combinator that has already completed still tracks the resume event
-  it scheduled, so cancelling the wait *after* completion (a
-  same-instant interrupt racing the resume) tombstones the stale
-  wake-up instead of letting it reach the process's next wait.
+One wait, one wake-up
+---------------------
+A process waits on one thing at a time: a delay, a :class:`Signal`, an
+:class:`AllOf`, another :class:`Process` (join) or an RPC call.  Only
+that wait resumes the process, and it does so exactly once: a delay is
+one event, a signal schedules each waiter once when it fires, an
+``AllOf`` schedules the resume when its last child completes, and an
+RPC call is settled by whichever of its response or its timer comes
+first.  Nothing else can move a process out of a wait, so a wait
+registers no cancel handle and a resume tears nothing down.
+:attr:`Simulator.stale_resumes` counts wake-ups that reach a finished
+process; it reads zero by construction, and the chaos invariant
+``no_double_resume`` checks that it stays there.
 
 Observability
 -------------
@@ -56,7 +49,7 @@ Typical usage::
     sim = Simulator()
 
     def worker(sim):
-        yield sim.timeout(5.0)
+        yield 5.0
         print("woke at", sim.now)
 
     sim.spawn(worker(sim))
@@ -68,7 +61,7 @@ from __future__ import annotations
 import math
 from functools import partial
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs.metrics import Metrics
@@ -81,12 +74,7 @@ __all__ = [
     "Signal",
     "Timeout",
     "AllOf",
-    "AnyOf",
-    "Interrupt",
 ]
-
-#: A subscription's cancel handle: idempotent, safe to call after firing.
-CancelFn = Callable[[], None]
 
 
 def _callback_name(callback: Callable) -> str:
@@ -99,35 +87,13 @@ def _callback_name(callback: Callable) -> str:
     return type(callback).__name__
 
 
-class Interrupt(Exception):
-    """Thrown into a process generator when it is interrupted.
-
-    The ``cause`` attribute carries the interrupter-supplied reason.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class _Waitable:
-    """Base for things a process may ``yield`` on.
-
-    Both subscription forms return a :data:`CancelFn` that detaches the
-    registration (idempotently); combinators use it to cancel losers and
-    processes use it to leave a wait cleanly.
-    """
+    """Base for things a process may ``yield`` on."""
 
     __slots__ = ()
 
-    def _subscribe(self, sim: "Simulator", process: "Process") -> CancelFn:
-        """Arrange for ``process._resume(value)`` on completion."""
-        raise NotImplementedError
-
-    def _subscribe_callback(
-        self, sim: "Simulator", callback: Callable[[Any], None]
-    ) -> CancelFn:
-        """Arrange for ``callback(value)`` on completion (combinators)."""
+    def _subscribe(self, sim: "Simulator", process: "Process") -> None:
+        """Arrange for exactly one ``process._resume(value)``."""
         raise NotImplementedError
 
 
@@ -141,73 +107,20 @@ class Timeout(_Waitable):
             raise SimulationError(f"negative timeout: {delay!r}")
         self.delay = float(delay)
 
-    def _subscribe(self, sim: "Simulator", process: "Process") -> CancelFn:
-        event = sim.schedule(self.delay, process._resume, None)
-        return event.cancel
-
-    def _subscribe_callback(
-        self, sim: "Simulator", callback: Callable[[Any], None]
-    ) -> CancelFn:
-        event = sim.schedule(self.delay, callback, None)
-        return event.cancel
+    def _subscribe(self, sim: "Simulator", process: "Process") -> None:
+        sim.schedule(self.delay, process._resume, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Timeout({self.delay})"
 
 
-class _SignalWaiter:
-    """One registration on a pending :class:`Signal`.
-
-    ``owner`` is the waiting :class:`Process` when the wait came from a
-    plain ``yield signal`` (used for the liveness guard at fire time);
-    combinator callbacks have no owner.  ``event`` is filled in by
-    :meth:`Signal.fire` so a cancel arriving *after* the fire can still
-    invalidate the scheduled resume.
-    """
-
-    __slots__ = ("signal", "sim", "callback", "owner", "event", "cancelled")
-
-    def __init__(
-        self,
-        signal: "Signal",
-        sim: "Simulator",
-        callback: Callable[[Any], None],
-        owner: Optional["Process"],
-    ):
-        self.signal = signal
-        self.sim = sim
-        self.callback = callback
-        self.owner = owner
-        self.event: Optional[_ScheduledEvent] = None
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        if self.cancelled:
-            return
-        self.cancelled = True
-        event = self.event
-        if event is not None:
-            # fire() already scheduled the resume: invalidate it.
-            event.cancel()
-        else:
-            # Still pending: prune the waiter list so long-lived
-            # signals do not accumulate dead registrations.
-            try:
-                self.signal._waiters.remove(self)
-            except ValueError:
-                pass
-
-
 class Signal(_Waitable):
     """A one-shot waitable event that processes can block on.
 
-    A signal starts *pending*; calling :meth:`fire` wakes every waiter with
-    the supplied value.  Waiting on an already-fired signal resumes the
-    waiter immediately (at the current instant) with the stored value.
-
-    Waiters that cancelled their subscription, or whose process has died,
-    are pruned rather than resumed (dead waiters also count into the
-    ``sim.signal_dead_waiters_skipped`` metric when metrics are active).
+    A signal starts *pending*; calling :meth:`fire` schedules every
+    waiter, in subscription order, with the supplied value.  Waiting on
+    an already-fired signal resumes the waiter immediately (at the
+    current instant) with the stored value.
     """
 
     __slots__ = ("name", "_fired", "_value", "_waiters")
@@ -216,7 +129,7 @@ class Signal(_Waitable):
         self.name = name
         self._fired = False
         self._value: Any = None
-        self._waiters: List[_SignalWaiter] = []
+        self._waiters: List[Tuple["Simulator", Callable[[Any], None]]] = []
 
     @property
     def fired(self) -> bool:
@@ -228,133 +141,62 @@ class Signal(_Waitable):
             raise SimulationError(f"signal {self.name!r} has not fired")
         return self._value
 
-    @property
-    def waiter_count(self) -> int:
-        """Live (non-cancelled) waiters still subscribed."""
-        return sum(1 for w in self._waiters if not w.cancelled)
-
     def fire(self, value: Any = None) -> None:
         if self._fired:
             raise SimulationError(f"signal {self.name!r} fired twice")
         self._fired = True
         self._value = value
         waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            if waiter.cancelled:
-                continue
-            if waiter.owner is not None and not waiter.owner.alive:
-                # Liveness guard: never schedule a resume for a process
-                # that already finished; count it so leaks are visible.
-                metrics = waiter.sim._metrics
-                if metrics is not None:
-                    metrics.inc("sim.signal_dead_waiters_skipped")
-                continue
-            waiter.event = waiter.sim.schedule(0.0, waiter.callback, value)
+        for sim, callback in waiters:
+            sim.schedule(0.0, callback, value)
 
     def _add_waiter(
-        self,
-        sim: "Simulator",
-        callback: Callable[[Any], None],
-        owner: Optional["Process"],
-    ) -> CancelFn:
-        if self._fired:
-            event = sim.schedule(0.0, callback, self._value)
-            return event.cancel
-        waiter = _SignalWaiter(self, sim, callback, owner)
-        self._waiters.append(waiter)
-        return waiter.cancel
-
-    def _subscribe(self, sim: "Simulator", process: "Process") -> CancelFn:
-        return self._add_waiter(sim, process._resume, owner=process)
-
-    def _subscribe_callback(
         self, sim: "Simulator", callback: Callable[[Any], None]
-    ) -> CancelFn:
-        return self._add_waiter(sim, callback, owner=None)
+    ) -> None:
+        """Arrange for ``callback(value)`` once the signal has fired."""
+        if self._fired:
+            sim.schedule(0.0, callback, self._value)
+        else:
+            self._waiters.append((sim, callback))
+
+    def _subscribe(self, sim: "Simulator", process: "Process") -> None:
+        self._add_waiter(sim, process._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "fired" if self._fired else "pending"
         return f"Signal({self.name!r}, {state})"
 
 
-def _child_subscribe(
-    sim: "Simulator", child: Any, callback: Callable[[Any], None]
-) -> CancelFn:
-    """Attach ``callback`` to a combinator child; returns its cancel.
-
-    Children may be :class:`Signal`, :class:`Timeout`, :class:`Process`
-    (completion join), or nested :class:`AllOf`/:class:`AnyOf`.
-    """
-    if isinstance(child, _Waitable):
-        return child._subscribe_callback(sim, callback)
-    if isinstance(child, Process):
-        return child.completion._subscribe_callback(sim, callback)
-    raise SimulationError(f"cannot combine waitable {child!r}")
-
-
 class _AllOfWait:
-    """In-flight state of one :class:`AllOf` subscription.
+    """In-flight state of one :class:`AllOf` wait.
 
-    A slotted object with bound-method callbacks: cheaper per wait than
+    A slotted object with a bound-method callback: cheaper per wait than
     the equivalent closure pile, which matters because every round of a
     DHT lookup waits on an ``AllOf`` of its parallel query processes.
     """
 
-    __slots__ = ("callback", "results", "remaining", "cancelled", "cancels",
-                 "event")
+    __slots__ = ("sim", "resume", "results", "remaining")
 
-    def __init__(self, n: int, callback: Callable[[Any], None]):
-        self.callback: Optional[Callable[[Any], None]] = callback
+    def __init__(self, sim: "Simulator", resume: Callable[[Any], None],
+                 n: int):
+        self.sim = sim
+        self.resume = resume
         self.results: List[Any] = [None] * n
         self.remaining = n
-        self.cancelled = False
-        self.cancels: List[CancelFn] = []
-        self.event: Optional[_ScheduledEvent] = None
 
     def child_done(self, index: int, value: Any) -> None:
-        if self.cancelled:
-            return
         self.results[index] = value
         self.remaining -= 1
         if self.remaining == 0:
-            callback = self.callback
-            # Break the subscription reference cycle (wait -> cancels ->
-            # child waiters -> partial -> wait) so the cluster is freed
-            # by refcounting instead of lingering for a GC pass.
-            self.cancels = []
-            self.callback = None
-            if callback is not None:
-                # A process-subscribe callback is schedule() and returns
-                # the resume event; keep it so a cancel landing between
-                # completion and the resume firing (same-instant
-                # interrupt) can still tombstone the stale wake-up.
-                maybe_event = callback(list(self.results))
-                if isinstance(maybe_event, _ScheduledEvent):
-                    self.event = maybe_event
-
-    def cancel(self) -> None:
-        # After completion the only live resource is the scheduled
-        # resume; invalidate it so it cannot reach the process's next
-        # wait (idempotent: event.cancel is a no-op once popped).
-        event, self.event = self.event, None
-        if event is not None:
-            event.cancel()
-        if self.cancelled:
-            return
-        self.cancelled = True
-        cancels = self.cancels
-        self.cancels = []
-        self.callback = None
-        for child_cancel in cancels:
-            child_cancel()
+            self.sim.schedule(0.0, self.resume, self.results)
 
 
 class AllOf(_Waitable):
-    """Wait until every child waitable has completed.
+    """Wait until every child has completed.
 
     Resumes the waiter with a list of child results in child order.
-    Children may be :class:`Signal`, :class:`Timeout`, :class:`Process`,
-    or nested combinators.
+    Children are :class:`Process` (join), :class:`Signal` or
+    :class:`Timeout`; combinators do not nest.
     """
 
     __slots__ = ("children",)
@@ -363,117 +205,21 @@ class AllOf(_Waitable):
         self.children = list(children)
         if not self.children:
             raise SimulationError("AllOf requires at least one child")
+        for child in self.children:
+            if not isinstance(child, (Process, Signal, Timeout)):
+                raise SimulationError(f"cannot combine waitable {child!r}")
 
-    def _subscribe_callback(
-        self, sim: "Simulator", callback: Callable[[Any], None]
-    ) -> CancelFn:
-        wait = _AllOfWait(len(self.children), callback)
-        cancels = wait.cancels
-        child_done = wait.child_done
+    def _subscribe(self, sim: "Simulator", process: "Process") -> None:
+        child_done = _AllOfWait(sim, process._resume,
+                                len(self.children)).child_done
         for i, child in enumerate(self.children):
-            cancels.append(_child_subscribe(sim, child, partial(child_done, i)))
-        return wait.cancel
-
-    def _subscribe(self, sim: "Simulator", process: "Process") -> CancelFn:
-        # partial(schedule, 0.0, resume) called with the results list is
-        # exactly schedule(0.0, resume, results) — no closure needed.
-        return self._subscribe_callback(
-            sim, partial(sim.schedule, 0.0, process._resume)
-        )
-
-
-class _AnyOfWait:
-    """In-flight state of one :class:`AnyOf` subscription.
-
-    First ``child_done`` wins, cancels every other child's subscription,
-    and delivers ``(index, value)``; everything after is a no-op.
-    """
-
-    __slots__ = ("sim", "callback", "done", "cancels", "event")
-
-    def __init__(self, sim: "Simulator", callback: Callable[[Any], None]):
-        self.sim = sim
-        self.callback: Optional[Callable[[Any], None]] = callback
-        self.done = False
-        self.cancels: List[CancelFn] = []
-        self.event: Optional[_ScheduledEvent] = None
-
-    def child_done(self, index: int, value: Any) -> None:
-        if self.done:
-            return
-        self.done = True
-        cancels = self.cancels
-        for j, child_cancel in enumerate(cancels):
-            if j != index:
-                child_cancel()
-        metrics = self.sim._metrics
-        if metrics is not None:
-            metrics.inc("sim.anyof_losers_cancelled", len(cancels) - 1)
-        callback = self.callback
-        # Break the subscription reference cycle (wait -> cancels ->
-        # child waiters -> partial -> wait) so the cluster is freed by
-        # refcounting instead of lingering for a GC pass.
-        self.cancels = []
-        self.callback = None
-        if callback is not None:
-            # A process-subscribe callback is schedule() and returns
-            # the resume event; keep it so a cancel landing between
-            # completion and the resume firing (same-instant
-            # interrupt) can still tombstone the stale wake-up.
-            maybe_event = callback((index, value))
-            if isinstance(maybe_event, _ScheduledEvent):
-                self.event = maybe_event
-
-    def cancel(self) -> None:
-        # After completion the only live resource is the scheduled
-        # resume; invalidate it so it cannot reach the process's next
-        # wait (idempotent: event.cancel is a no-op once popped).
-        event, self.event = self.event, None
-        if event is not None:
-            event.cancel()
-        if self.done:
-            return
-        self.done = True
-        cancels = self.cancels
-        self.cancels = []
-        self.callback = None
-        for child_cancel in cancels:
-            child_cancel()
-
-
-class AnyOf(_Waitable):
-    """Wait until the first child waitable completes.
-
-    Resumes the waiter with ``(index, value)`` of the first completion.
-    The winner *cancels* every losing child's subscription: a losing
-    ``Timeout`` leaves the event queue immediately (instead of keeping
-    the simulation alive until it expires), and a losing ``Signal``
-    waiter is pruned.  A losing ``Process`` keeps running — only the
-    join is dropped.  Same-instant completions resolve in child
-    scheduling order (FIFO), deterministically.
-    """
-
-    __slots__ = ("children",)
-
-    def __init__(self, children: Iterable[Any]):
-        self.children = list(children)
-        if not self.children:
-            raise SimulationError("AnyOf requires at least one child")
-
-    def _subscribe_callback(
-        self, sim: "Simulator", callback: Callable[[Any], None]
-    ) -> CancelFn:
-        wait = _AnyOfWait(sim, callback)
-        cancels = wait.cancels
-        child_done = wait.child_done
-        for i, child in enumerate(self.children):
-            cancels.append(_child_subscribe(sim, child, partial(child_done, i)))
-        return wait.cancel
-
-    def _subscribe(self, sim: "Simulator", process: "Process") -> CancelFn:
-        return self._subscribe_callback(
-            sim, partial(sim.schedule, 0.0, process._resume)
-        )
+            done = partial(child_done, i)
+            if isinstance(child, Timeout):
+                sim.schedule(child.delay, done, None)
+            elif isinstance(child, Process):
+                child.completion._add_waiter(sim, done)
+            else:
+                child._add_waiter(sim, done)
 
 
 class Process:
@@ -482,18 +228,15 @@ class Process:
     The generator may yield:
 
     * a ``float``/``int`` — sleep for that many simulated seconds;
-    * a :class:`Timeout`, :class:`Signal`, :class:`AllOf`, :class:`AnyOf`;
+    * a :class:`Timeout`, :class:`Signal` or :class:`AllOf`;
     * another :class:`Process` — wait for it to finish (join).
 
     The value sent back into the generator is the result of the wait (the
     signal's value, the joined process's return value, ``None`` for
     timeouts).  The process's own return value (via ``return x``) becomes
-    the value of its completion signal.
-
-    Every resume first cancels the subscription of the wait being left,
-    so no stale wake-up (a signal firing late, an obsolete timeout, a
-    superseded interrupt event) can ever reach the process at a later
-    wait.
+    the value of its completion signal.  Each wait resumes the process
+    exactly once (see the module doc), so a resume has nothing to tear
+    down.
     """
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
@@ -507,9 +250,6 @@ class Process:
         self.name = name or getattr(generator, "__name__", "process")
         self.completion = Signal(f"done:{self.name}")
         self._alive = True
-        self._interrupt_pending: Optional[Interrupt] = None
-        self._interrupt_event: Optional[_ScheduledEvent] = None
-        self._wait_cancel: Optional[CancelFn] = None
 
     @property
     def alive(self) -> bool:
@@ -520,46 +260,18 @@ class Process:
         """Return value of the finished process (raises if still running)."""
         return self.completion.value
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its next resume.
-
-        Interrupting a dead process is a no-op.
-        """
-        if not self._alive:
-            return
-        self._interrupt_pending = Interrupt(cause)
-        self._interrupt_event = self.sim.schedule(0.0, self._resume, None)
-
     def _resume(self, value: Any) -> None:
         if not self._alive:
-            # A wake-up reached a finished process: every such resume is
-            # a subscription the engine failed to tear down (the
-            # double-resume leak).  Counted so the chaos invariant
-            # harness (repro.faults.invariants.no_double_resume) can
-            # assert it stays zero.
+            # A wake-up reached a finished process, which the one-wait
+            # rule forbids.  Counted so the chaos invariant harness
+            # (repro.faults.invariants.no_double_resume) can assert it
+            # stays zero.
             self.sim._stale_resumes += 1
             return
-        # Leave the current wait: detach its subscription so it cannot
-        # deliver a second, stale resume later.
-        cancel, self._wait_cancel = self._wait_cancel, None
-        if cancel is not None:
-            cancel()
         try:
-            if self._interrupt_pending is not None:
-                exc, self._interrupt_pending = self._interrupt_pending, None
-                if self._interrupt_event is not None:
-                    # The interrupt is being delivered by this resume;
-                    # its own wake-up event (if different) is now stale.
-                    self._interrupt_event.cancel()
-                    self._interrupt_event = None
-                target = self.generator.throw(exc)
-            else:
-                target = self.generator.send(value)
+            target = self.generator.send(value)
         except StopIteration as stop:
-            self._finish(getattr(stop, "value", None))
-            return
-        except Interrupt:
-            self._finish(None)
+            self._finish(stop.value)
             return
         self._wait_on(target)
 
@@ -581,7 +293,7 @@ class Process:
             raise SimulationError(
                 f"process {self.name!r} yielded unwaitable {target!r}"
             )
-        self._wait_cancel = target._subscribe(self.sim, self)
+        target._subscribe(self.sim, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self._alive else "done"
@@ -704,10 +416,10 @@ class Simulator:
     def stale_resumes(self) -> int:
         """Resumes delivered to already-finished processes.
 
-        Zero in a hygienic run: every wait's subscription is torn down
-        when the process leaves it, so nothing should ever wake the
-        dead.  A non-zero count means a subscription leaked — the
-        condition the chaos harness checks continuously.
+        Zero by construction: each wait resumes its process exactly
+        once, and a process finishes inside the resume that ends its
+        last wait.  A non-zero count means a wait woke its process
+        twice — the condition the chaos harness checks continuously.
         """
         return self._stale_resumes
 
@@ -744,14 +456,6 @@ class Simulator:
     ) -> _ScheduledEvent:
         """Schedule ``callback`` at absolute simulated time ``when``."""
         return self.schedule(when - self.now, callback, *args)
-
-    def timeout(self, delay: float) -> Timeout:
-        """Create a timeout waitable (sugar for ``Timeout(delay)``)."""
-        return Timeout(delay)
-
-    def signal(self, name: str = "") -> Signal:
-        """Create a fresh one-shot signal."""
-        return Signal(name)
 
     def spawn(self, generator: Generator, name: str = "") -> Process:
         """Start a new process from a generator; it runs at the current
@@ -846,7 +550,8 @@ class Simulator:
         With ``until=None`` runs until the event queue drains — only safe
         when no perpetual background processes (miners, gossip loops) are
         scheduled.  Pass a horizon when they are; raises if the process has
-        not finished by then.
+        not finished by then, or as soon as the queue empties before it
+        has (nothing could finish it, even with ``until=inf``).
         """
         if until is not None and until != until:
             raise SimulationError(f"cannot run until {until}")
@@ -855,8 +560,11 @@ class Simulator:
             self.run()
         else:
             while process.alive and self.now < until:
-                # Advance in slices so we stop soon after completion.
+                # Advance in slices so we stop soon after completion; an
+                # empty queue means nothing can ever finish the process.
                 self.run(until=min(until, self.now + 1000.0))
+                if self.pending_events == 0:
+                    break
         if process.alive:
             raise SimulationError(
                 f"process {process.name!r} did not finish"

@@ -138,12 +138,6 @@ class TestScorecards:
         with pytest.raises(ReproError):
             card.set_score("privacy", 1.5)
 
-    def test_attach_measurement_clamps_and_tags(self):
-        card = Scorecard("x")
-        card.attach_measurement("connectedness", 1.7, "E4")
-        assert card.score("connectedness") == 1.0
-        assert card.evidence["connectedness"] == "measured:E4"
-
     def test_dominates(self):
         a, b = Scorecard("a"), Scorecard("b")
         for prop in ("privacy", "connectedness"):

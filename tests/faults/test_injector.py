@@ -176,7 +176,12 @@ class TestWindowComposition:
         assert network.fault_surface.latency_factor == pytest.approx(6.0)
         a, b = network.node("a"), network.node("b")
         base = network.latency.delay(a, b, 100)
-        assert network._delay(a, b, 100) == pytest.approx(base * 6.0)
+        arrivals = []
+        b.register_handler(
+            "ping", lambda node, payload, sender: arrivals.append(sim.now))
+        network.send("a", "b", "ping", size_bytes=100)
+        sim.run(until=19.0)
+        assert arrivals == [pytest.approx(15.0 + base * 6.0)]
 
     def test_corrupt_window_sets_probability(self):
         sim, streams, network = build()

@@ -9,11 +9,15 @@ one of them on each pass.
 
 An RPC attempt is one call object that is the caller's wait, the
 response target and the timeout callback.  In flight, with its caller
-process, it holds at most 14 GC-tracked objects (a
-``Signal`` + ``Timeout`` + ``AnyOf`` wait held 30; a process parked on
-``yield 30.0`` holds 9), and it costs three engine events when answered
-and two when it times out.  A cancelled event keeps neither its
-callback nor its arguments alive while it waits in the queue.
+process, it holds at most 13 GC-tracked objects (12 on CPython 3.11; a
+signal-or-timeout race held 30, and a process parked on ``yield 30.0``
+holds 7), and it costs three engine events when answered and two when
+it times out.  A cancelled event keeps neither its callback nor its
+arguments alive while it waits in the queue.
+
+Each budget is read from the second of two identical passes: a tracer
+(coverage's, or the standard library's ``trace``) allocates once per
+line it first executes, and the first pass absorbs those allocations.
 """
 
 import gc
@@ -26,11 +30,11 @@ from repro.errors import NetworkError, RpcTimeoutError
 from repro.net import ConstantLatency, Network
 from repro.net.transport import _RpcCall
 from repro.obs import Metrics
-from repro.sim import Interrupt, RngStreams, Simulator
+from repro.sim import RngStreams, Simulator
 
 LEGS = 2_000
 TRACKED_PER_LEG = 2
-TRACKED_PER_RPC = 14
+TRACKED_PER_RPC = 13
 RPC_ROUNDS = 400
 
 
@@ -44,15 +48,17 @@ def pair():
 
 
 def tracked_per_leg(issue_one_leg):
-    """GC-tracked objects added per call of ``issue_one_leg``, with the
-    collector held off so nothing is freed or untracked mid-count."""
+    """GC-tracked objects added per call of ``issue_one_leg`` in the
+    second of two passes of ``LEGS`` calls, with the collector held off
+    so nothing is freed or untracked mid-count."""
     gc.collect()
     gc.disable()
     try:
-        before = len(gc.get_objects())
-        for _ in range(LEGS):
-            issue_one_leg()
-        after = len(gc.get_objects())
+        for _ in range(2):
+            before = len(gc.get_objects())
+            for _ in range(LEGS):
+                issue_one_leg()
+            after = len(gc.get_objects())
     finally:
         gc.enable()
     return (after - before) / LEGS
@@ -65,17 +71,19 @@ def _tracked_without_frames():
 
 def tracked_per_caller(sim, caller):
     """GC-tracked objects added per process spawned from ``caller`` and
-    run up to its first wait.  Frames are not counted: CPython 3.11+
-    keeps a suspended generator's frame inside the generator, 3.10
-    tracks it as an object of its own."""
+    run up to its first wait, in the second of two passes of ``LEGS``
+    processes.  Frames are not counted: CPython 3.11+ keeps a suspended
+    generator's frame inside the generator, 3.10 tracks it as an object
+    of its own."""
     gc.collect()
     gc.disable()
     try:
-        before = _tracked_without_frames()
-        for _ in range(LEGS):
-            sim.spawn(caller())
-        sim.run(until=sim.now)
-        after = _tracked_without_frames()
+        for _ in range(2):
+            before = _tracked_without_frames()
+            for _ in range(LEGS):
+                sim.spawn(caller())
+            sim.run(until=sim.now)
+            after = _tracked_without_frames()
     finally:
         gc.enable()
     return (after - before) / LEGS
@@ -88,7 +96,7 @@ class TestAllocationBudget:
         sim.run()
         per_leg = tracked_per_leg(lambda: network.send("a", "b", "ping", 1))
         assert per_leg <= TRACKED_PER_LEG
-        assert sim.pending_events == LEGS
+        assert sim.pending_events == 2 * LEGS
 
     def test_rpc_response_leg_stays_within_budget(self, pair):
         sim, network = pair
@@ -100,7 +108,7 @@ class TestAllocationBudget:
             lambda: network._rpc_respond(src, dst, 1, 512, call)
         )
         assert per_leg <= TRACKED_PER_LEG
-        assert sim.pending_events == LEGS
+        assert sim.pending_events == 2 * LEGS
 
     def test_in_flight_rpc_stays_within_budget(self, pair):
         sim, network = pair
@@ -111,9 +119,9 @@ class TestAllocationBudget:
         sim.run_process(caller())  # warm the counter keys
         per_call = tracked_per_caller(sim, caller)
         assert per_call <= TRACKED_PER_RPC
-        # Every caller has sent its request and none has its response:
-        # one request leg and one timer each.
-        assert sim.pending_events == 2 * LEGS
+        # Every caller of both passes has sent its request and none has
+        # its response: one request leg and one timer each.
+        assert sim.pending_events == 2 * 2 * LEGS
 
 
 class _Referent:
@@ -203,35 +211,6 @@ class TestRpcEventBudget:
 
 
 class TestRpcCallEdges:
-    def test_interrupt_mid_rpc_settles_the_call(self, pair):
-        metrics = Metrics()
-        sim = Simulator(metrics=metrics)
-        network = Network(sim, RngStreams(1), latency=ConstantLatency(0.05))
-        network.create_node("a")
-        network.create_node("b").register_handler(
-            "echo", lambda node, payload, sender: payload)
-
-        def client():
-            try:
-                yield from network.rpc("a", "b", "echo", 1, timeout=5.0)
-            except Interrupt as exc:
-                return (sim.now, exc.cause)
-
-        process = sim.spawn(client())
-        # The request lands at 0.05 and the response at 0.10.
-        sim.schedule(0.07, process.interrupt, "stop")
-        sim.run()
-        assert process.result == (0.07, "stop")
-        assert sim.stale_resumes == 0  # the late response resumed nothing
-        assert metrics.counter("sim.events_cancelled") == 1  # the timer
-        assert metrics.counter("sim.tombstones_drained") == 1
-        assert sim.pending_events == 0
-        assert sim.now == pytest.approx(0.10, abs=1e-3)  # response leg
-        assert network.flow_snapshot() == {
-            "sent": 2, "delivered": 2, "dropped": 0, "in_flight": 0,
-        }
-        assert network.monitor.counters.get("rpcs_completed") == 0
-
     def test_timer_wins_a_same_instant_tie(self, pair):
         # Request and response each take exactly 0.05 s, so the
         # response lands at the timeout instant; the timer was scheduled

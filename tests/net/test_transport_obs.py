@@ -39,7 +39,7 @@ class TestRpcTimeoutHygiene:
         assert sim.pending_events == 0
 
     def test_timeout_prunes_done_waiter_and_drains_queue(self):
-        """A late response must fire into an empty signal: the client,
+        """A late response must find the call settled: the client,
         already moved on to its next wait, is not double-resumed."""
         metrics = Metrics()
         sim = Simulator(metrics=metrics)
@@ -69,9 +69,8 @@ class TestRpcTimeoutHygiene:
         assert end == 102.0
         assert metrics.counter("net.rpcs_timeout") == 1
         assert metrics.counter("net.rpcs_ok") == 0
-        # The dead-waiter guard never had to save us: the waiter was
-        # already pruned when the late response delivered.
-        assert metrics.counter("sim.signal_dead_waiters_skipped") == 0
+        # The late response found the call settled and resumed nothing.
+        assert sim.stale_resumes == 0
 
     def test_timeout_against_offline_server_drains_queue(self):
         sim, network = _net()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Interrupt, Signal, Simulator, Timeout
+from repro.sim import AllOf, Signal, Simulator, Timeout
 
 
 class TestScheduling:
@@ -197,7 +197,7 @@ class TestProcesses:
 
     def test_signal_wakes_waiter_with_value(self):
         sim = Simulator()
-        sig = sim.signal("test")
+        sig = Signal("test")
 
         def waiter():
             value = yield sig
@@ -210,7 +210,7 @@ class TestProcesses:
 
     def test_wait_on_already_fired_signal(self):
         sim = Simulator()
-        sig = sim.signal()
+        sig = Signal()
         sig.fire("early")
 
         def waiter():
@@ -227,7 +227,7 @@ class TestProcesses:
 
     def test_allof_collects_results_in_order(self):
         sim = Simulator()
-        s1, s2 = sim.signal("s1"), sim.signal("s2")
+        s1, s2 = Signal("s1"), Signal("s2")
 
         def waiter():
             results = yield AllOf([s1, s2])
@@ -238,71 +238,6 @@ class TestProcesses:
         sim.schedule(5.0, s1.fire, "first")
         sim.run()
         assert proc.result == (5.0, ["first", "second"])
-
-    def test_anyof_returns_first_completion(self):
-        sim = Simulator()
-        s1, s2 = sim.signal("s1"), sim.signal("s2")
-
-        def waiter():
-            index, value = yield AnyOf([s1, s2])
-            return (sim.now, index, value)
-
-        proc = sim.spawn(waiter())
-        sim.schedule(2.0, s2.fire, "fast")
-        sim.schedule(5.0, s1.fire, "slow")
-        sim.run()
-        assert proc.result == (2.0, 1, "fast")
-
-    def test_anyof_with_timeout_child(self):
-        sim = Simulator()
-        never = sim.signal("never")
-
-        def waiter():
-            index, value = yield AnyOf([never, Timeout(3.0)])
-            return (sim.now, index)
-
-        proc = sim.spawn(waiter())
-        sim.run()
-        assert proc.result == (3.0, 1)
-
-    def test_interrupt_raises_inside_process(self):
-        sim = Simulator()
-        caught = []
-
-        def sleeper():
-            try:
-                yield 100.0
-            except Interrupt as exc:
-                caught.append((sim.now, exc.cause))
-
-        proc = sim.spawn(sleeper())
-        sim.schedule(5.0, proc.interrupt, "wake-up")
-        sim.run()
-        assert caught == [(5.0, "wake-up")]
-
-    def test_interrupt_dead_process_is_noop(self):
-        sim = Simulator()
-
-        def quick():
-            yield 1.0
-
-        proc = sim.spawn(quick())
-        sim.run()
-        proc.interrupt("too late")
-        sim.run()
-        assert not proc.alive
-
-    def test_unhandled_interrupt_kills_process(self):
-        sim = Simulator()
-
-        def sleeper():
-            yield 100.0
-
-        proc = sim.spawn(sleeper())
-        sim.schedule(5.0, proc.interrupt)
-        sim.run()
-        assert not proc.alive
-        assert proc.result is None
 
     def test_yielding_garbage_raises(self):
         sim = Simulator()
@@ -318,7 +253,7 @@ class TestProcesses:
         sim = Simulator()
 
         def stuck():
-            yield sim.signal("never-fires")
+            yield Signal("never-fires")
 
         with pytest.raises(SimulationError):
             sim.run_process(stuck())

@@ -1,279 +1,18 @@
-"""Regression tests for event-queue leaks: AnyOf loser cancellation,
-Signal waiter pruning, and stale-resume prevention.
+"""Regression tests for event-queue bookkeeping: cancelled events are
+traced and counted when cancelled, ``AllOf`` children, and deadlock
+detection in ``run_process``.
 
 Each test documents the pre-fix failure mode it pins down; the queue
 metrics introduced with :mod:`repro.obs` make the leaks assertable.
 """
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.obs import Metrics, Tracer
-from repro.sim import AllOf, AnyOf, Interrupt, Signal, Simulator, Timeout
-
-
-class TestAnyOfLoserCancellation:
-    def test_losing_timeout_leaves_the_queue(self):
-        """Pre-fix: the losing Timeout(1000) stayed in the heap, so the
-        queue was non-empty right after the winner resumed."""
-        sim = Simulator()
-        fast = Signal("fast")
-
-        def waiter():
-            index, value = yield AnyOf([fast, Timeout(1000.0)])
-            return (index, value, sim.pending_events)
-
-        process = sim.spawn(waiter())
-        sim.schedule(1.0, fast.fire, "won")
-        sim.run()
-        index, value, pending_at_resume = process.result
-        assert (index, value) == (0, "won")
-        # The loser was cancelled before the waiter even resumed.
-        assert pending_at_resume == 0
-        assert sim.pending_events == 0
-
-    def test_run_terminates_at_winner_time_not_timeout_expiry(self):
-        """Pre-fix: ``run()`` (no ``until``) kept spinning until the lost
-        timeout expired — here t=5000 instead of t=1."""
-        sim = Simulator()
-        fast = Signal("fast")
-
-        def waiter():
-            yield AnyOf([fast, Timeout(5000.0)])
-
-        sim.spawn(waiter())
-        sim.schedule(1.0, fast.fire, None)
-        end = sim.run()
-        assert end == 1.0
-
-    def test_losing_signal_waiter_pruned(self):
-        sim = Simulator()
-        winner, loser = Signal("winner"), Signal("loser")
-
-        def waiter():
-            yield AnyOf([winner, loser])
-
-        sim.spawn(waiter())
-        sim.schedule(1.0, winner.fire, None)
-        sim.run()
-        assert loser.waiter_count == 0
-        # A late fire of the loser wakes nobody and schedules nothing.
-        loser.fire("late")
-        assert sim.pending_events == 0
-
-    def test_losing_process_keeps_running(self):
-        """Cancellation drops the join, not the process itself."""
-        sim = Simulator()
-        finished = []
-
-        def slow():
-            yield 10.0
-            finished.append(sim.now)
-            return "slow-done"
-
-        def waiter():
-            slow_p = sim.spawn(slow())
-            index, value = yield AnyOf([slow_p, Timeout(1.0)])
-            return (index, value, slow_p.alive)
-
-        process = sim.spawn(waiter())
-        sim.run()
-        assert process.result == (1, None, True)
-        assert finished == [10.0]  # the loser still ran to completion
-
-    def test_same_instant_completions_resolve_fifo(self):
-        sim = Simulator()
-        s1, s2 = Signal("1"), Signal("2")
-        results = []
-
-        def waiter():
-            results.append((yield AnyOf([s1, s2])))
-
-        sim.spawn(waiter())
-        # Both fire at t=1; s2's fire was scheduled first.
-        sim.schedule(1.0, s2.fire, "second-child-first-fire")
-        sim.schedule(1.0, s1.fire, "first-child-second-fire")
-        sim.run()
-        assert results == [(1, "second-child-first-fire")]
-        assert sim.pending_events == 0
-
-    def test_anyof_losers_cancelled_metric(self):
-        metrics = Metrics()
-        sim = Simulator(metrics=metrics)
-        fast = Signal("fast")
-
-        def waiter():
-            yield AnyOf([fast, Timeout(100.0), Timeout(200.0)])
-
-        sim.spawn(waiter())
-        sim.schedule(1.0, fast.fire, None)
-        sim.run()
-        assert metrics.counter("sim.anyof_losers_cancelled") == 2
-        assert metrics.counter("sim.events_cancelled") == 2
-        assert metrics.gauge("sim.pending_at_run_end") == 0.0
-
-    def test_queue_depth_metric_bounded_under_anyof_churn(self):
-        """The observable the ISSUE asks for: repeated AnyOf waits do not
-        inflate the queue (pre-fix, max depth grew with iteration count
-        because every lost timeout lingered)."""
-        metrics = Metrics()
-        sim = Simulator(metrics=metrics)
-
-        def worker():
-            for _ in range(50):
-                ping = Signal("ping")
-                sim.schedule(0.5, ping.fire, None)
-                yield AnyOf([ping, Timeout(1000.0)])
-
-        sim.spawn(worker())
-        sim.run()
-        assert metrics.histogram("sim.queue_depth").maximum <= 3
-        assert sim.pending_events == 0
-
-
-class TestSignalWaiterHygiene:
-    def test_interrupted_process_removed_from_waiter_list(self):
-        """Pre-fix: the waiter entry survived the interrupt, so a later
-        fire() double-resumed the process at the wrong wait."""
-        sim = Simulator()
-        never = Signal("never")
-        wakes = []
-
-        def waiter():
-            try:
-                yield never
-            except Interrupt:
-                pass
-            # Move on to a different wait; the signal must not reach us.
-            yield Timeout(10.0)
-            wakes.append(sim.now)
-
-        process = sim.spawn(waiter())
-        sim.schedule(1.0, process.interrupt, "give up")
-        sim.schedule(2.0, never.fire, "too late")
-        sim.run()
-        assert wakes == [11.0]  # resumed by the timeout, not the signal
-        assert never.waiter_count == 0
-
-    def test_double_resume_regression_same_signal_rewait(self):
-        """A process that catches an interrupt and re-waits on the same
-        signal must be woken exactly once by fire()."""
-        sim = Simulator()
-        sig = Signal("sig")
-        wakes = []
-
-        def waiter():
-            try:
-                yield sig
-            except Interrupt:
-                value = yield sig
-                wakes.append((sim.now, value))
-
-        process = sim.spawn(waiter())
-        sim.schedule(1.0, process.interrupt, None)
-        sim.schedule(2.0, sig.fire, "payload")
-        sim.run()
-        assert wakes == [(2.0, "payload")]
-        assert sim.pending_events == 0
-
-    def test_fire_skips_dead_process_waiters(self):
-        """Liveness guard: fire() must not schedule a resume for a
-        process that already finished."""
-        metrics = Metrics()
-        sim = Simulator(metrics=metrics)
-        sig = Signal("sig")
-
-        def short_lived():
-            # Subscribe to the signal, then get interrupted to death.
-            yield sig
-
-        process = sim.spawn(short_lived())
-
-        def kill_then_fire():
-            yield 1.0
-            # Detach the waiter entry from under the signal by killing
-            # the process through a pre-cancellation path: interrupt it
-            # (uncaught -> dies), then fire.
-            process.interrupt("die")
-            yield 1.0
-            sig.fire("nobody-home")
-
-        sim.spawn(kill_then_fire())
-        sim.run()
-        assert not process.alive
-        assert sim.pending_events == 0
-        # The interrupt path prunes the waiter before fire() ever sees
-        # it, so the dead-waiter guard had nothing to skip...
-        assert metrics.counter("sim.signal_dead_waiters_skipped") == 0
-
-    def test_fire_dead_waiter_guard_counts(self):
-        """...but a waiter that dies without unsubscribing (direct
-        generator abuse) is skipped and counted by the guard."""
-        metrics = Metrics()
-        sim = Simulator(metrics=metrics)
-        sig = Signal("sig")
-
-        def zombie():
-            yield sig
-
-        process = sim.spawn(zombie())
-        sim.run()
-        # Forcibly kill the process without the engine noticing.
-        process._alive = False
-        sig.fire("zombie-call")
-        assert metrics.counter("sim.signal_dead_waiters_skipped") == 1
-        assert sim.pending_events == 0
-
-    def test_stale_timeout_after_interrupt_is_cancelled(self):
-        """Pre-fix: a process interrupted out of a long Timeout left the
-        timeout event in the heap; it later spuriously resumed the
-        process at its next wait."""
-        sim = Simulator()
-        wakes = []
-
-        def waiter():
-            try:
-                yield Timeout(100.0)
-            except Interrupt:
-                pass
-            yield Timeout(50.0)
-            wakes.append(sim.now)
-
-        process = sim.spawn(waiter())
-        sim.schedule(1.0, process.interrupt, None)
-        end = sim.run()
-        assert wakes == [51.0]
-        # Queue drained at the real completion, not at t=100.
-        assert end == 51.0
-        assert sim.pending_events == 0
-
-    def test_interrupt_event_cancelled_when_delivered_elsewhere(self):
-        """An interrupt delivered via a signal resume must cancel its own
-        wake-up event instead of leaving it to fire as a spurious None
-        resume."""
-        sim = Simulator()
-        sig = Signal("sig")
-        wakes = []
-
-        def waiter():
-            try:
-                yield sig
-            except Interrupt:
-                pass
-            value = yield Timeout(5.0)
-            wakes.append((sim.now, value))
-
-        process = sim.spawn(waiter())
-
-        def same_instant():
-            yield 1.0
-            process.interrupt("now")
-            sig.fire("also-now")
-
-        sim.spawn(same_instant())
-        sim.run()
-        assert wakes == [(6.0, None)]
-        assert sim.pending_events == 0
+from repro.sim import AllOf, Signal, Simulator, Timeout
 
 
 class TestTracingHooks:
@@ -330,190 +69,7 @@ class TestTracingHooks:
         assert sim.metrics is None
 
 
-class TestStaleCombinatorResume:
-    """A same-instant interrupt sequenced *between* a combinator's
-    completion and its scheduled resume must tombstone that resume.
-
-    Pre-fix, the completed wait's cancel() was a no-op, so the stale
-    resume fired after the interrupt moved the generator to a new wait:
-    it cancelled the new wait's subscription and sent the combinator's
-    ``(index, value)`` into the wrong ``yield``.
-    """
-
-    def test_anyof_resume_cancelled_by_same_instant_interrupt(self):
-        sim = Simulator()
-        fast = Signal("fast")
-        wakes = []
-
-        def victim():
-            try:
-                yield AnyOf([fast, Timeout(5.0)])
-            except Interrupt:
-                pass
-            value = yield Timeout(10.0)
-            wakes.append((sim.now, value))
-
-        process = sim.spawn(victim())
-        # At t=1 the fire() schedules the combinator's completion
-        # callback, then the interrupt schedules its own resume; the
-        # completion callback runs next and schedules the combinator
-        # resume *after* the interrupt in the same instant.
-        sim.schedule(1.0, fast.fire, "won")
-        sim.schedule(1.0, process.interrupt, "same-instant")
-        end = sim.run()
-        # Pre-fix: wakes == [(1.0, (0, "won"))] and the run ended at
-        # t=1 — the stale resume reached the Timeout(10.0) wait.
-        assert wakes == [(11.0, None)]
-        assert end == 11.0
-        assert sim.pending_events == 0
-
-    def test_allof_resume_cancelled_by_same_instant_interrupt(self):
-        sim = Simulator()
-        last = Signal("last")
-        wakes = []
-
-        def victim():
-            try:
-                yield AllOf([last, Timeout(0.5)])
-            except Interrupt:
-                pass
-            value = yield Timeout(10.0)
-            wakes.append((sim.now, value))
-
-        process = sim.spawn(victim())
-        sim.schedule(1.0, last.fire, "done")
-        sim.schedule(1.0, process.interrupt, "same-instant")
-        end = sim.run()
-        assert wakes == [(11.0, None)]
-        assert end == 11.0
-        assert sim.pending_events == 0
-
-    def test_normal_combinator_resume_still_delivers(self):
-        """The captured resume event must not suppress the ordinary
-        path: resume fires, process re-waits, nothing is lost."""
-        sim = Simulator()
-        fast = Signal("fast")
-        wakes = []
-
-        def waiter():
-            result = yield AnyOf([fast, Timeout(5.0)])
-            value = yield Timeout(10.0)
-            wakes.append((sim.now, result, value))
-
-        sim.spawn(waiter())
-        sim.schedule(1.0, fast.fire, "won")
-        end = sim.run()
-        assert wakes == [(11.0, (0, "won"), None)]
-        assert end == 11.0
-        assert sim.pending_events == 0
-
-
-class TestCombinatorCancelEdges:
-    def test_allof_cancel_via_interrupt_releases_children(self):
-        sim = Simulator()
-        s1 = Signal("s1")
-
-        def waiter():
-            try:
-                yield AllOf([s1, Timeout(500.0)])
-            except Interrupt:
-                pass
-
-        process = sim.spawn(waiter())
-        sim.schedule(1.0, process.interrupt, None)
-        end = sim.run()
-        # Both the signal waiter and the long timeout were torn down.
-        assert s1.waiter_count == 0
-        assert end == 1.0
-        assert sim.pending_events == 0
-
-    def test_cancel_after_fire_invalidates_scheduled_resume(self):
-        """A subscription cancelled between fire() and the resume event
-        executing must still suppress the resume."""
-        sim = Simulator()
-        sig = Signal("sig")
-        hits = []
-        cancel = sig._subscribe_callback(sim, hits.append)
-        sig.fire("value")  # schedules the callback at the current instant
-        cancel()  # ...but we cancel before the event runs
-        sim.run()
-        assert hits == []
-
-    def test_double_cancel_is_idempotent(self):
-        sim = Simulator()
-        sig = Signal("sig")
-        cancel = sig._subscribe_callback(sim, lambda v: None)
-        cancel()
-        cancel()  # no error, no double-removal
-        sig.fire("x")
-        sim.run()
-        assert sim.pending_events == 0
-
-    def test_waiting_on_already_fired_signal_cancel(self):
-        sim = Simulator()
-        sig = Signal("sig")
-        sig.fire(42)
-        hits = []
-        cancel = sig._subscribe_callback(sim, hits.append)
-        cancel()
-        sim.run()
-        assert hits == []
-
-
 class TestNestedCombinators:
-    def test_anyof_of_allof(self):
-        """AnyOf accepts nested combinators; the losing AllOf branch is
-        torn down child by child."""
-        sim = Simulator()
-        slow = Signal("slow")
-
-        def waiter():
-            index, value = yield AnyOf(
-                [AllOf([slow, Timeout(500.0)]), Timeout(2.0)]
-            )
-            return (index, value)
-
-        process = sim.spawn(waiter())
-        end = sim.run()
-        assert process.result == (1, None)  # the bare timeout won
-        assert end == 2.0  # neither the 500 s timeout nor `slow` linger
-        assert slow.waiter_count == 0
-        assert sim.pending_events == 0
-
-    def test_allof_of_anyof(self):
-        sim = Simulator()
-        a, b = Signal("a"), Signal("b")
-
-        def waiter():
-            values = yield AllOf(
-                [AnyOf([a, Timeout(100.0)]), AnyOf([b, Timeout(200.0)])]
-            )
-            return values
-
-        process = sim.spawn(waiter())
-        sim.schedule(1.0, a.fire, "A")
-        sim.schedule(2.0, b.fire, "B")
-        end = sim.run()
-        assert process.result == [(0, "A"), (0, "B")]
-        assert end == 2.0  # both inner losers were cancelled
-        assert sim.pending_events == 0
-
-    def test_anyof_with_already_fired_child(self):
-        """An already-fired signal wins at the current instant and the
-        fresh timeout is immediately cancelled."""
-        sim = Simulator()
-        done = Signal("done")
-        done.fire("early")
-
-        def waiter():
-            index, value = yield AnyOf([done, Timeout(50.0)])
-            return (index, value, sim.now)
-
-        process = sim.spawn(waiter())
-        end = sim.run()
-        assert process.result == (0, "early", 0.0)
-        assert end == 0.0
-
     def test_allof_with_already_fired_children(self):
         sim = Simulator()
         first, second = Signal("first"), Signal("second")
@@ -530,18 +86,17 @@ class TestNestedCombinators:
 
     def test_empty_combinators_rejected(self):
         with pytest.raises(SimulationError):
-            AnyOf([])
-        with pytest.raises(SimulationError):
             AllOf([])
 
     def test_garbage_child_rejected(self):
-        sim = Simulator()
+        def waiter(child):
+            yield AllOf([Timeout(1.0), child])
 
-        def waiter():
-            yield AnyOf([Timeout(1.0), "not-a-waitable"])
-
-        with pytest.raises(SimulationError):
-            sim.run_process(waiter())
+        # Children are processes, signals or timeouts: anything else,
+        # a nested combinator included, is refused.
+        for child in ("not-a-waitable", AllOf([Timeout(2.0)])):
+            with pytest.raises(SimulationError, match="cannot combine"):
+                Simulator().run_process(waiter(child))
 
 
 class TestRunProcessStillStrict:
@@ -554,3 +109,22 @@ class TestRunProcessStillStrict:
 
         with pytest.raises(SimulationError):
             sim.run_process(stuck())
+
+    def test_deadlock_under_a_horizon_stops_at_the_first_empty_slice(self):
+        sim = Simulator()
+
+        def stuck():
+            yield Signal("never")
+
+        with pytest.raises(SimulationError, match="did not finish by t="):
+            sim.run_process(stuck(), until=1e7)
+        assert sim.now <= 1000.0
+
+    def test_deadlock_under_an_infinite_horizon_raises(self):
+        sim = Simulator()
+
+        def stuck():
+            yield Signal("never")
+
+        with pytest.raises(SimulationError, match="did not finish by t=inf"):
+            sim.run_process(stuck(), until=math.inf)

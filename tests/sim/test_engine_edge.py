@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Interrupt, Signal, Simulator, Timeout
+from repro.sim import AllOf, Signal, Simulator, Timeout
 
 
 class TestCombinatorEdges:
@@ -35,40 +35,9 @@ class TestCombinatorEdges:
         assert when == 5.0
         assert results == ["a", "b"]
 
-    def test_anyof_with_process_children(self):
-        sim = Simulator()
-
-        def child(duration, value):
-            yield duration
-            return value
-
-        def parent():
-            slow = sim.spawn(child(9.0, "slow"))
-            fast = sim.spawn(child(1.0, "fast"))
-            index, value = yield AnyOf([slow, fast])
-            return (index, value)
-
-        assert sim.run_process(parent()) == (1, "fast")
-
-    def test_anyof_later_completion_ignored(self):
-        sim = Simulator()
-        s1, s2 = Signal("1"), Signal("2")
-        results = []
-
-        def waiter():
-            results.append((yield AnyOf([s1, s2])))
-
-        sim.spawn(waiter())
-        sim.schedule(1.0, s1.fire, "first")
-        sim.schedule(2.0, s2.fire, "second")
-        sim.run()
-        assert results == [(0, "first")]
-
     def test_empty_combinators_rejected(self):
         with pytest.raises(SimulationError):
             AllOf([])
-        with pytest.raises(SimulationError):
-            AnyOf([])
 
     def test_combining_garbage_rejected(self):
         sim = Simulator()
@@ -89,21 +58,6 @@ class TestCombinatorEdges:
         sim.schedule(1.0, nested)
         with pytest.raises(SimulationError):
             sim.run()
-
-    def test_interrupt_cause_accessible(self):
-        sim = Simulator()
-        seen = []
-
-        def sleeper():
-            try:
-                yield 100.0
-            except Interrupt as exc:
-                seen.append(exc.cause)
-
-        process = sim.spawn(sleeper())
-        sim.schedule(1.0, process.interrupt, {"reason": "shutdown"})
-        sim.run()
-        assert seen == [{"reason": "shutdown"}]
 
     def test_process_result_before_completion_raises(self):
         sim = Simulator()

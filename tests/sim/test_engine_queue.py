@@ -230,12 +230,12 @@ class TestQueueShape:
             lambda: network.send("a", "b", "ping", 1))
         assert per_leg <= legs.TRACKED_PER_LEG
         assert len(sim._queue) == 1
-        assert sim.pending_events == legs.LEGS
+        assert sim.pending_events == 2 * legs.LEGS
         sim.run()
         assert sim._queue == [] and sim.pending_events == 0
 
     def test_leg_and_rpc_budgets_are_unchanged(self):
-        assert (legs.TRACKED_PER_LEG, legs.TRACKED_PER_RPC) == (2, 14)
+        assert (legs.TRACKED_PER_LEG, legs.TRACKED_PER_RPC) == (2, 13)
 
     def test_fired_event_argument_is_freed_when_run_returns(self):
         # A queue that kept its last fired event as the chain tail would
