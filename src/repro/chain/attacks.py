@@ -169,7 +169,7 @@ class MajorityAttack:
         return AttackOutcome(
             succeeded=released["done"] and erased,
             attacker_blocks=self.attacker.blocks_mined,
-            honest_blocks=self.network.monitor.counters.get("blocks_mined")
+            honest_blocks=self.network.counters.get("blocks_mined")
             - self.attacker.blocks_mined,
             sim_time=sim.now,
             victim_tx_erased=erased,

@@ -28,7 +28,7 @@ from repro.chain.transaction import Transaction, make_coinbase
 from repro.crypto.keys import KeyPair, generate_keypair
 from repro.errors import ChainError, InvalidBlockError, InvalidTransactionError
 from repro.sim.engine import Simulator
-from repro.sim.monitor import Monitor
+from repro.sim.monitor import Counter
 from repro.sim.rng import RngStreams
 
 __all__ = ["BlockchainNetwork", "Participant"]
@@ -135,14 +135,14 @@ class Participant:
             transactions=[coinbase] + selected,
         )
         self.blocks_mined += 1
-        self.network.monitor.counters.increment("blocks_mined")
-        self.network.monitor.counters.increment(f"blocks_mined.{self.name}")
+        self.network.counters.increment("blocks_mined")
+        self.network.counters.increment(f"blocks_mined.{self.name}")
         self.chain.add_block(block)
         self.mempool.remove_mined(block.transactions)
         if self.withholding:
             self._private_blocks.append(block)
             self._private_tip_id = block.block_id
-            self.network.monitor.counters.increment("blocks_withheld")
+            self.network.counters.increment("blocks_withheld")
         else:
             self.network.broadcast_block(self.name, block)
         self._arm()
@@ -163,7 +163,7 @@ class Participant:
         released, self._private_blocks = self._private_blocks, []
         for block in released:
             self.network.broadcast_block(self.name, block)
-        self.network.monitor.counters.increment(
+        self.network.counters.increment(
             "private_chain_releases", 1 if released else 0
         )
         self.withholding = False
@@ -200,13 +200,13 @@ class Participant:
             return
         if not self.chain.has_block(block.parent_id):
             self._orphan_buffer.setdefault(block.parent_id, []).append(block)
-            self.network.monitor.counters.increment("orphans_buffered")
+            self.network.counters.increment("orphans_buffered")
             return
         old_tip = self.chain.tip.block_id
         try:
             self.chain.add_block(block)
         except InvalidBlockError:
-            self.network.monitor.counters.increment("blocks_rejected")
+            self.network.counters.increment("blocks_rejected")
             return
         self._drain_orphans(block.block_id)
         if self.chain.tip.block_id != old_tip:
@@ -226,7 +226,7 @@ class Participant:
         try:
             self.mempool.add(tx)
         except InvalidTransactionError:
-            self.network.monitor.counters.increment("txs_rejected")
+            self.network.counters.increment("txs_rejected")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -260,7 +260,7 @@ class BlockchainNetwork:
         self.premine = dict(premine or {})
         self.max_txs_per_block = max_txs_per_block
         self.mining_rng = streams.stream("chain.mining")
-        self.monitor = Monitor()
+        self.counters = Counter()
         self._participants: Dict[str, Participant] = {}
 
     # -- membership -----------------------------------------------------------
@@ -296,7 +296,7 @@ class BlockchainNetwork:
     # -- gossip -----------------------------------------------------------------
 
     def broadcast_block(self, origin: str, block: Block) -> None:
-        self.monitor.counters.increment("blocks_broadcast")
+        self.counters.increment("blocks_broadcast")
         for name, participant in self._participants.items():
             if name == origin:
                 continue
@@ -307,7 +307,7 @@ class BlockchainNetwork:
     def submit_transaction(self, tx: Transaction, origin: Optional[str] = None) -> None:
         """Gossip a transaction to every mempool (including the origin's,
         immediately)."""
-        self.monitor.counters.increment("txs_submitted")
+        self.counters.increment("txs_submitted")
         for name, participant in self._participants.items():
             if name == origin:
                 participant.receive_transaction(tx)
@@ -337,5 +337,5 @@ class BlockchainNetwork:
             return 0
         reference = next(iter(self._participants.values()))
         main_ids = {b.block_id for b in reference.chain.main_chain()}
-        mined = self.monitor.counters.get("blocks_mined")
+        mined = self.counters.get("blocks_mined")
         return mined - (len(main_ids) - 1)  # genesis isn't mined

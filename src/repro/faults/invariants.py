@@ -85,10 +85,9 @@ class InvariantContext:
 
 @dataclass(frozen=True)
 class Invariant:
-    """A named, documented predicate checked by the harness."""
+    """A named predicate checked by the harness."""
 
     name: str
-    description: str
     check: Callable[[InvariantContext], CheckResult]
 
 
@@ -226,14 +225,7 @@ def message_conservation() -> Invariant:
             )
         return None
 
-    return Invariant(
-        name="message_conservation",
-        description=(
-            "every sent message is delivered, dropped, or in flight:"
-            " sent == delivered + dropped + in_flight"
-        ),
-        check=check,
-    )
+    return Invariant(name="message_conservation", check=check)
 
 
 def no_double_resume() -> Invariant:
@@ -248,14 +240,7 @@ def no_double_resume() -> Invariant:
             )
         return None
 
-    return Invariant(
-        name="no_double_resume",
-        description=(
-            "each wait resumes its process exactly once: zero resumes"
-            " delivered to finished processes"
-        ),
-        check=check,
-    )
+    return Invariant(name="no_double_resume", check=check)
 
 
 def monotonic(name: str, getter: Callable[[InvariantContext], float]) -> Invariant:
@@ -273,11 +258,7 @@ def monotonic(name: str, getter: Callable[[InvariantContext], float]) -> Invaria
             )
         return None
 
-    return Invariant(
-        name=name,
-        description=f"{name} never decreases across sweeps",
-        check=check,
-    )
+    return Invariant(name=name, check=check)
 
 
 def eventually(
@@ -302,11 +283,7 @@ def eventually(
             )
         return None
 
-    return Invariant(
-        name=name,
-        description=f"predicate holds by simulated time {deadline:g}",
-        check=check,
-    )
+    return Invariant(name=name, check=check)
 
 
 def read_your_writes(
@@ -330,14 +307,7 @@ def read_your_writes(
                 return None
         return probe(ctx)
 
-    return Invariant(
-        name="read_your_writes",
-        description=(
-            "replicated reads observe prior writes once faults heal"
-            f" (+{grace:g}s grace)"
-        ),
-        check=check,
-    )
+    return Invariant(name="read_your_writes", check=check)
 
 
 #: Catalog of built-in invariant factories, for docs and the CLI.

@@ -481,16 +481,6 @@ class FaultPlan:
                     f" {', '.join(sorted(_EVENT_TYPES))}"
                 )
             fields = {k: v for k, v in raw.items() if k != "kind"}
-            if kind == "partition" and "groups" in fields:
-                fields["groups"] = tuple(
-                    tuple(group) for group in fields["groups"]
-                )
-            if kind == "censor":
-                for field_name in ("inside", "blocked", "fingerprints"):
-                    if field_name in fields:
-                        fields[field_name] = tuple(fields[field_name])
-            if "window" in fields:
-                fields["window"] = tuple(fields["window"])
             try:
                 events.append(event_type(**fields))
             except TypeError as exc:

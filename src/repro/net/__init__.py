@@ -12,13 +12,7 @@ from repro.net.churn import (
     cohort_from_profile,
     profile_for_class,
 )
-from repro.net.latency import (
-    ConstantLatency,
-    LatencyModel,
-    LogNormalLatency,
-    PlanetLatency,
-    UniformLatency,
-)
+from repro.net.latency import ConstantLatency, LatencyModel, LogNormalLatency
 from repro.net.node import Node, NodeClass
 from repro.net.topology import isp_tree, nodes_in_region
 from repro.net.transport import (
@@ -39,9 +33,7 @@ __all__ = [
     "DEFAULT_MESSAGE_BYTES",
     "LatencyModel",
     "ConstantLatency",
-    "UniformLatency",
     "LogNormalLatency",
-    "PlanetLatency",
     "ChurnProfile",
     "ChurnProcess",
     "attach_churn",

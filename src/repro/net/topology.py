@@ -26,7 +26,6 @@ __all__ = [
     "nodes_in_region",
     "random_graph",
     "small_world",
-    "scale_free",
     "federation_homes",
     "ring_lattice",
 ]
@@ -118,16 +117,6 @@ def small_world(
         raise NetworkError(f"k={k} must be < count={count}")
     ids = _ids(prefix, count)
     base = nx.watts_strogatz_graph(count, k, rewire_prob, seed=seed)
-    return nx.relabel_nodes(base, {i: ids[i] for i in range(count)})
-
-
-def scale_free(count: int, m: int = 2, seed: int = 0, prefix: str = "n") -> nx.Graph:
-    """Barabási–Albert preferential attachment — hub-heavy graphs that
-    model follower-style social networks."""
-    if m >= count:
-        raise NetworkError(f"m={m} must be < count={count}")
-    ids = _ids(prefix, count)
-    base = nx.barabasi_albert_graph(count, m, seed=seed)
     return nx.relabel_nodes(base, {i: ids[i] for i in range(count)})
 
 

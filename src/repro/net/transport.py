@@ -25,7 +25,9 @@ metrics (see :mod:`repro.obs`).  When active, every message leg emits a
 ``msg_send`` / ``msg_deliver`` / ``msg_drop`` trace event and every RPC
 attempt emits an ``rpc`` span (start, end, outcome, attempt) plus
 ``net.*`` counters and a latency histogram; when inactive each hook is a
-single ``is not None`` check.
+single ``is not None`` check.  Those counters are the transport's only
+tallies: with observation off it keeps just the flow ledger below and
+each node's ``bytes_sent``.
 
 Fault injection: a :class:`FaultSurface` installed by
 :class:`repro.faults.FaultInjector` adds burst loss, a latency
@@ -62,6 +64,7 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - type-only; draws stay stream-derived
     import random  # repro: noqa[DET001]
 
+    from repro.obs.metrics import Metrics
     from repro.sim.engine import Process, _ScheduledEvent
 
 from repro.errors import (
@@ -73,7 +76,6 @@ from repro.errors import (
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.node import Node, NodeClass
 from repro.sim.engine import Simulator, _Waitable
-from repro.sim.monitor import Monitor
 from repro.sim.rng import RngStreams
 
 __all__ = ["CensorSurface", "FaultSurface", "Network",
@@ -361,7 +363,6 @@ class Network:
         self.streams = streams
         self.latency = latency if latency is not None else ConstantLatency()
         self.loss_rate = loss_rate
-        self.monitor = Monitor()
         # Share the simulator's observation hooks (both None unless an
         # observe() block or explicit Simulator args enabled them).
         self._tracer = sim.tracer
@@ -457,8 +458,7 @@ class Network:
                 and self._loss_rng.random() < self.loss_rate) or (
                 faults is not None and faults.drop_prob > 0
                 and faults.drop_rng.random() < faults.drop_prob):
-            self._drop("messages_lost", src_id, dst_id, method, size_bytes,
-                       "loss")
+            self._drop(src_id, dst_id, method, size_bytes, "loss")
             return
         delay = self.latency.delay(src, dst, size_bytes)
         if faults is not None and faults.latency_factor != 1.0:
@@ -486,23 +486,20 @@ class Network:
         self._flow_in_flight -= 1
         dst_id = dst.node_id
         if not dst.online:
-            self._drop("messages_to_offline", src_id, dst_id, method,
-                       size_bytes, "offline")
+            self._drop(src_id, dst_id, method, size_bytes, "offline")
             return
         if (self._censor is not None
                 and self._censored(src_id, dst_id, method)):
-            self._drop(None, src_id, dst_id, method, size_bytes, "censor")
+            self._drop(src_id, dst_id, method, size_bytes, "censor")
             return
         if ((self._partition is not None or self._censor is not None)
                 and not self.can_reach(src_id, dst_id)):
-            self._drop("messages_partitioned", src_id, dst_id, method,
-                       size_bytes, "partition")
+            self._drop(src_id, dst_id, method, size_bytes, "partition")
             return
         faults = self._faults
         if (faults is not None and faults.corrupt_prob > 0
                 and faults.corrupt_rng.random() < faults.corrupt_prob):
-            self._drop("messages_corrupted", src_id, dst_id, method,
-                       size_bytes, "corrupt")
+            self._drop(src_id, dst_id, method, size_bytes, "corrupt")
             return
         self._flow_delivered += 1
         if self._tracer is not None or self._metrics is not None:
@@ -510,11 +507,12 @@ class Network:
         try:
             result = dst.dispatch(method, payload, src_id)
         except ReproError:
-            self.monitor.counters.increment("handler_errors")
+            if self._metrics is not None:
+                self._metrics.inc("net.handler_errors")
             return  # fire-and-forget: failures are silent
         if result is not None and _is_generator(result):
             self.sim.spawn(
-                _swallow_repro_errors(result, self.monitor),
+                _swallow_repro_errors(result, self._metrics),
                 name=f"{dst_id}.{method}",
             )
 
@@ -578,7 +576,6 @@ class Network:
                 )
             except RpcTimeoutError:
                 if attempt + 1 < attempts:
-                    self.monitor.counters.increment("rpcs_retried")
                     if self._metrics is not None:
                         self._metrics.inc("net.rpc_retries")
                     continue
@@ -599,7 +596,6 @@ class Network:
     ) -> Generator:
         """One request/response attempt (the pre-retry ``rpc`` body)."""
         src, dst = self.node(src_id), self.node(dst_id)
-        self.monitor.counters.increment("rpcs_sent")
         src.bytes_sent += size_bytes
         if self._metrics is not None:
             self._metrics.inc("net.rpcs_sent")
@@ -630,7 +626,7 @@ class Network:
                 call,
             )
         else:
-            self._drop("messages_lost", src_id, dst_id, method, size_bytes,
+            self._drop(src_id, dst_id, method, size_bytes,
                        "loss", "rpc_request")
 
         # Yielding the call schedules its timer.  A response cancels the
@@ -639,7 +635,6 @@ class Network:
         # is a no-op.
         value = yield call
         if value is _TIMED_OUT:
-            self.monitor.counters.increment("rpcs_timed_out")
             self._rpc_span(start, src_id, dst_id, method, "timeout", attempt)
             raise RpcTimeoutError(
                 f"rpc {method!r} from {src_id!r} to {dst_id!r} timed out"
@@ -648,7 +643,6 @@ class Network:
             self._rpc_span(start, src_id, dst_id, method, "remote_error",
                            attempt)
             raise RemoteError(value.error)
-        self.monitor.counters.increment("rpcs_completed")
         self._rpc_span(start, src_id, dst_id, method, "ok", attempt)
         return value
 
@@ -689,24 +683,24 @@ class Network:
         self._flow_in_flight -= 1
         src_id, dst_id = src.node_id, dst.node_id
         if not dst.online:
-            self._drop("messages_to_offline", src_id, dst_id, method,
-                       call.size_bytes, "offline", "rpc_request")
+            self._drop(src_id, dst_id, method, call.size_bytes,
+                       "offline", "rpc_request")
             return
         if (self._censor is not None
                 and self._censored(src_id, dst_id, method)):
-            self._drop(None, src_id, dst_id, method, call.size_bytes,
+            self._drop(src_id, dst_id, method, call.size_bytes,
                        "censor", "rpc_request")
             return
         if ((self._partition is not None or self._censor is not None)
                 and not self.can_reach(src_id, dst_id)):
-            self._drop("messages_partitioned", src_id, dst_id, method,
-                       call.size_bytes, "partition", "rpc_request")
+            self._drop(src_id, dst_id, method, call.size_bytes,
+                       "partition", "rpc_request")
             return
         faults = self._faults
         if (faults is not None and faults.corrupt_prob > 0
                 and faults.corrupt_rng.random() < faults.corrupt_prob):
-            self._drop("messages_corrupted", src_id, dst_id, method,
-                       call.size_bytes, "corrupt", "rpc_request")
+            self._drop(src_id, dst_id, method, call.size_bytes,
+                       "corrupt", "rpc_request")
             return
         self._flow_delivered += 1
         try:
@@ -736,7 +730,7 @@ class Network:
                 and self._loss_rng.random() < self.loss_rate) or (
                 faults is not None and faults.drop_prob > 0
                 and faults.drop_rng.random() < faults.drop_prob):
-            self._drop("messages_lost", dst.node_id, src.node_id, "response",
+            self._drop(dst.node_id, src.node_id, "response",
                        response_bytes, "loss", "rpc_response")
             return
         if self._tracer is not None or self._metrics is not None:
@@ -759,25 +753,24 @@ class Network:
         self._flow_in_flight -= 1
         server_id, client_id = dst.node_id, src.node_id
         if not src.online:
-            self._drop("messages_to_offline", server_id, client_id,
-                       "response", response_bytes, "offline", "rpc_response")
+            self._drop(server_id, client_id, "response",
+                       response_bytes, "offline", "rpc_response")
             return
         if (self._censor is not None
                 and self._censored(server_id, client_id, "response")):
-            self._drop(None, server_id, client_id, "response",
+            self._drop(server_id, client_id, "response",
                        response_bytes, "censor", "rpc_response")
             return
         if ((self._partition is not None or self._censor is not None)
                 and not self.can_reach(server_id, client_id)):
-            self._drop("messages_partitioned", server_id, client_id,
-                       "response", response_bytes, "partition",
-                       "rpc_response")
+            self._drop(server_id, client_id, "response",
+                       response_bytes, "partition", "rpc_response")
             return
         faults = self._faults
         if (faults is not None and faults.corrupt_prob > 0
                 and faults.corrupt_rng.random() < faults.corrupt_prob):
-            self._drop("messages_corrupted", server_id, client_id,
-                       "response", response_bytes, "corrupt", "rpc_response")
+            self._drop(server_id, client_id, "response",
+                       response_bytes, "corrupt", "rpc_response")
             return
         self._flow_delivered += 1
         if self._tracer is not None or self._metrics is not None:
@@ -804,12 +797,10 @@ class Network:
                     )
                 mapping[node_id] = index
         self._partition = mapping
-        self.monitor.counters.increment("partitions_created")
 
     def heal(self) -> None:
         """Reconnect all partitions."""
         self._partition = None
-        self.monitor.counters.increment("partitions_healed")
 
     @property
     def partitioned(self) -> bool:
@@ -843,7 +834,6 @@ class Network:
 
     def _drop(
         self,
-        counter: Optional[str],
         src_id: str,
         dst_id: str,
         method: str,
@@ -851,10 +841,8 @@ class Network:
         reason: str,
         leg: Optional[str] = None,
     ) -> None:
-        """Account one dropped leg: its monitor counter (if any), the
-        flow ledger, and a ``msg_drop`` event."""
-        if counter is not None:
-            self.monitor.counters.increment(counter)
+        """Account one dropped leg: the flow ledger and a ``msg_drop``
+        event."""
         self._flow_dropped += 1
         if self._tracer is not None or self._metrics is not None:
             self._msg_event("msg_drop", src_id, dst_id, method, size_bytes,
@@ -908,7 +896,6 @@ class Network:
         verdict = censor.verdict(src_id, dst_id, method)
         if verdict is None:
             return False
-        self.monitor.counters.increment("messages_censored")
         if self._metrics is not None:
             self._metrics.inc(f"faults.censor.{verdict}")
         return True
@@ -979,10 +966,14 @@ def _faults_to_value(handler_generator: Generator) -> Generator:
     return value
 
 
-def _swallow_repro_errors(handler_generator: Generator, monitor: Monitor) -> Generator:
+def _swallow_repro_errors(
+    handler_generator: Generator, metrics: Optional[Metrics]
+) -> Generator:
     """Run a fire-and-forget handler process; library errors are counted
-    and dropped (one-way messages have nowhere to report failure)."""
+    (``net.handler_errors``) and dropped (one-way messages have nowhere
+    to report failure)."""
     try:
         yield from handler_generator
     except ReproError:
-        monitor.counters.increment("handler_errors")
+        if metrics is not None:
+            metrics.inc("net.handler_errors")

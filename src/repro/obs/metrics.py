@@ -196,7 +196,8 @@ class Histogram:
         out: Dict[str, Any] = {
             "count": self.count,
             "sum": round(self.total, 9),
-            "mean": round(self.mean, 9),
+            # Rounding can push the mean past an extreme; clamp after it.
+            "mean": min(max(round(self.mean, 9), self.minimum), self.maximum),
             "min": self.minimum,
             "max": self.maximum,
             "p50": self.percentile(0.50),

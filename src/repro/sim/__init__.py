@@ -8,13 +8,13 @@ Public surface:
 * :class:`RngStreams` — named deterministic randomness.
 * :class:`DeviceCohort`, :class:`CohortEngine` — the vectorized batch
   engine for population-scale (10^5-10^6 device) experiments.
-* :class:`Monitor`, :class:`Counter`, :class:`Sampler`,
-  :class:`TimeWeightedGauge` — measurement.
+* :class:`Counter` — a component's own named tallies (transport and
+  engine counters live in :mod:`repro.obs`).
 """
 
 from repro.sim.cohort import CohortEngine, DeviceCohort
 from repro.sim.engine import AllOf, Process, Signal, Simulator, Timeout
-from repro.sim.monitor import Counter, Monitor, Sampler, TimeWeightedGauge, summarize
+from repro.sim.monitor import Counter
 from repro.sim.rng import RngStreams, derive_seed, seeded_generator, seeded_rng
 
 __all__ = [
@@ -30,8 +30,4 @@ __all__ = [
     "derive_seed",
     "seeded_rng",
     "Counter",
-    "Sampler",
-    "Monitor",
-    "TimeWeightedGauge",
-    "summarize",
 ]

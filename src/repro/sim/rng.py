@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, TypeVar
+from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:  # pragma: no cover - import for annotations only
     import numpy
 
 __all__ = ["RngStreams", "derive_seed", "seeded_generator", "seeded_rng"]
-
-T = TypeVar("T")
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -99,37 +97,6 @@ class RngStreams:
             gen = seeded_generator(self.root_seed, name)
             self._generators[name] = gen
         return gen
-
-    def fork(self, name: str) -> "RngStreams":
-        """Create a child stream-space, e.g. one per simulated node."""
-        return RngStreams(derive_seed(self.root_seed, f"fork:{name}"))
-
-    def names(self) -> List[str]:
-        """Names of every stream created so far (for debugging)."""
-        return sorted(self._streams)
-
-    # -- convenience draws used pervasively ------------------------------
-
-    def exponential(self, name: str, mean: float) -> float:
-        """One draw from Exp(mean) on the named stream."""
-        if mean <= 0:
-            raise ValueError(f"exponential mean must be positive, got {mean}")
-        return self.stream(name).expovariate(1.0 / mean)
-
-    def uniform(self, name: str, lo: float, hi: float) -> float:
-        return self.stream(name).uniform(lo, hi)
-
-    def choice(self, name: str, seq: Sequence[T]) -> T:
-        return self.stream(name).choice(seq)
-
-    def sample(self, name: str, population: Sequence[T], k: int) -> List[T]:
-        return self.stream(name).sample(population, k)
-
-    def shuffled(self, name: str, items: Iterable[T]) -> List[T]:
-        """Return a shuffled copy of ``items`` (the input is untouched)."""
-        out = list(items)
-        self.stream(name).shuffle(out)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RngStreams(root_seed={self.root_seed}, streams={len(self._streams)})"

@@ -16,7 +16,7 @@ from typing import Dict, Generator, List, Optional, Set
 
 from repro.errors import NetworkError, StorageError
 from repro.net.transport import Network
-from repro.sim.monitor import Monitor
+from repro.sim.monitor import Counter
 from repro.sim.rng import RngStreams
 from repro.storage.blob import DataBlob
 from repro.storage.erasure import ErasureCode, Shard
@@ -60,7 +60,7 @@ class ErasureBlobStore:
         self.client_id = client_id
         if not network.has_node(client_id):
             network.create_node(client_id)
-        self.monitor = Monitor()
+        self.counters = Counter()
         self._health: Dict[str, ShardHealth] = {}
         self._originals: Dict[str, bytes] = {}  # content id -> original bytes
         self._running = False
@@ -88,7 +88,7 @@ class ErasureBlobStore:
             size_bytes=len(shard.payload),
             timeout=300.0,
         )
-        self.monitor.counters.increment("bytes_uploaded", len(shard.payload))
+        self.counters.increment("bytes_uploaded", len(shard.payload))
 
     def _pull_shard(self, provider_id: str, content_id: str, index: int) -> Generator:
         chunk, _proof = yield from self.network.rpc(
@@ -141,12 +141,12 @@ class ErasureBlobStore:
                 continue  # provider churned or shard failed verification
             gathered.append(shard)
         if len(gathered) < self.code.k:
-            self.monitor.counters.increment("retrievals_failed")
+            self.counters.increment("retrievals_failed")
             raise StorageError(
                 f"only {len(gathered)} of {self.code.k} required shards"
                 f" reachable for {content_id!r}"
             )
-        self.monitor.counters.increment("retrievals_ok")
+        self.counters.increment("retrievals_ok")
         return self.code.decode(gathered)
 
     # -- repair ------------------------------------------------------------------------
@@ -181,9 +181,6 @@ class ErasureBlobStore:
         ]
         if not offline:
             return
-        self.monitor.gauge(f"offline_shards.{content_id[:8]}").set(
-            self.network.sim.now, len(offline)
-        )
         # Gather k live shards to decode.
         try:
             data = yield from self.retrieve(content_id)
@@ -208,8 +205,8 @@ class ErasureBlobStore:
                 continue  # target churned mid-repair: try the next one
             health.placement[index] = target.node_id
             health.repairs += 1
-            self.monitor.counters.increment("repairs")
-            self.monitor.counters.increment(
+            self.counters.increment("repairs")
+            self.counters.increment(
                 "repair_bytes", health.shard_len
             )
 
@@ -234,4 +231,4 @@ class ErasureBlobStore:
         return health.shard_len * len(health.placement)
 
     def repair_bytes(self) -> int:
-        return self.monitor.counters.get("repair_bytes")
+        return self.counters.get("repair_bytes")

@@ -16,7 +16,7 @@ from typing import Dict, Generator, List, Optional
 from repro.crypto.hashing import hash_obj
 from repro.errors import ContractError, StorageError
 from repro.net.transport import Network
-from repro.sim.monitor import Monitor
+from repro.sim.monitor import Counter
 from repro.sim.rng import RngStreams
 from repro.storage.blob import DataBlob
 from repro.storage.contracts import DealState, DirectLedger, StorageDeal
@@ -54,7 +54,7 @@ class StorageMarketplace:
         self.verifier = StorageVerifier(
             network, client_id, streams, response_deadline=response_deadline
         )
-        self.monitor = Monitor()
+        self.counters = Counter()
         self._providers: Dict[str, StorageProvider] = {}
         self._deals: Dict[str, StorageDeal] = {}
         self._rng = streams.stream("storage.marketplace")
@@ -169,7 +169,7 @@ class StorageMarketplace:
             deal.deal_id, consumer, deal.total_price, provider=provider.node_id
         )
         self._deals[deal.deal_id] = deal
-        self.monitor.counters.increment("deals_opened")
+        self.counters.increment("deals_opened")
         return deal
 
     def register_external_deal(self, deal: StorageDeal) -> Generator:
@@ -183,7 +183,7 @@ class StorageMarketplace:
             provider=deal.provider_id,
         )
         self._deals[deal.deal_id] = deal
-        self.monitor.counters.increment("deals_opened")
+        self.counters.increment("deals_opened")
         return deal
 
     # -- the audit/payment epoch loop ----------------------------------------------
@@ -225,16 +225,15 @@ class StorageMarketplace:
                     deal.deal_id, deal.provider_id, deal.price_per_epoch
                 )
                 deal.epochs_paid += 1
-                self.monitor.counters.increment("epochs_paid")
+                self.counters.increment("epochs_paid")
                 if deal.epochs_paid >= deal.epochs_total:
                     deal.state = DealState.COMPLETED
-                    self.monitor.counters.increment("deals_completed")
+                    self.counters.increment("deals_completed")
             else:
                 deal.epochs_failed += 1
                 deal.state = DealState.FAILED
-                refunded = self.ledger.refund_escrow(deal.deal_id, deal.consumer)
-                self.monitor.samples.record("slash_refunds", refunded)
-                self.monitor.counters.increment("deals_slashed")
+                self.ledger.refund_escrow(deal.deal_id, deal.consumer)
+                self.counters.increment("deals_slashed")
         return results
 
     # -- measurement ------------------------------------------------------------------

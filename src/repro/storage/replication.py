@@ -16,7 +16,7 @@ from typing import Dict, Generator, List, Optional, Set
 
 from repro.errors import NetworkError, StorageError
 from repro.net.transport import Network
-from repro.sim.monitor import Monitor
+from repro.sim.monitor import Counter
 from repro.sim.rng import RngStreams
 from repro.storage.blob import DataBlob
 from repro.storage.proofs import Commitment
@@ -63,7 +63,7 @@ class ReplicatedBlobStore:
         self.client_id = client_id
         if not network.has_node(client_id):
             network.create_node(client_id)
-        self.monitor = Monitor()
+        self.counters = Counter()
         self._blobs: Dict[str, DataBlob] = {}  # only for initial upload
         self._health: Dict[str, BlobHealth] = {}
         self._running = False
@@ -112,7 +112,7 @@ class ReplicatedBlobStore:
             size_bytes=blob.size_bytes,
             timeout=600.0,
         )
-        self.monitor.counters.increment("bytes_uploaded", blob.size_bytes)
+        self.counters.increment("bytes_uploaded", blob.size_bytes)
 
     # -- repair loop --------------------------------------------------------------
 
@@ -139,9 +139,6 @@ class ReplicatedBlobStore:
         online_holders = [
             h for h in health.holders if self.providers[h].node.online
         ]
-        self.monitor.gauge(f"online_replicas.{root[:8]}").set(
-            self.network.sim.now, len(online_holders)
-        )
         # Permanent-loss check: a holder whose churn process departed for
         # good no longer counts at all.
         if not online_holders:
@@ -166,8 +163,8 @@ class ReplicatedBlobStore:
                 continue  # source or target churned mid-transfer
             health.holders.add(provider.node_id)
             health.repairs += 1
-            self.monitor.counters.increment("repairs")
-            self.monitor.counters.increment("repair_bytes", blob.size_bytes)
+            self.counters.increment("repairs")
+            self.counters.increment("repair_bytes", blob.size_bytes)
 
     # -- access -------------------------------------------------------------------
 
@@ -197,11 +194,11 @@ class ReplicatedBlobStore:
                     if not health.commitment.verify_answer(index, chunk, proof):
                         raise StorageError("verification failed")
                     chunks.append(chunk)
-                self.monitor.counters.increment("retrievals_ok")
+                self.counters.increment("retrievals_ok")
                 return b"".join(chunks)
             except (NetworkError, StorageError):
                 continue  # holder churned or served a bad proof: try next
-        self.monitor.counters.increment("retrievals_failed")
+        self.counters.increment("retrievals_failed")
         raise StorageError(f"no online holder could serve blob {root[:12]}")
 
     # -- measurement ------------------------------------------------------------------
@@ -219,4 +216,4 @@ class ReplicatedBlobStore:
         )
 
     def repair_bytes(self) -> int:
-        return self.monitor.counters.get("repair_bytes")
+        return self.counters.get("repair_bytes")

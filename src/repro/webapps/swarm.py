@@ -16,7 +16,7 @@ from typing import Dict, Generator, List, Optional
 from repro.errors import RemoteError, RpcTimeoutError, WebAppError
 from repro.net.node import NodeClass
 from repro.net.transport import Network
-from repro.sim.monitor import Monitor
+from repro.sim.monitor import Counter
 from repro.sim.rng import RngStreams
 from repro.webapps.site import SiteBundle
 from repro.webapps.tracker import Tracker
@@ -30,7 +30,7 @@ class SiteSwarm:
     def __init__(self, network: Network, tracker: Tracker):
         self.network = network
         self.tracker = tracker
-        self.monitor = Monitor()
+        self.counters = Counter()
         # peer -> site address -> bundle
         self._seeding: Dict[str, Dict[str, SiteBundle]] = {}
 
@@ -65,7 +65,7 @@ class SiteSwarm:
         if existing is None or existing.manifest.version < bundle.manifest.version:
             self._seeding[peer_id][bundle.manifest.site_address] = bundle
         yield from self.tracker.announce(peer_id, bundle.manifest.site_address)
-        self.monitor.counters.increment("seeds_started")
+        self.counters.increment("seeds_started")
         return True
 
     def stop_seeding(self, peer_id: str, site: str) -> Generator:
@@ -74,7 +74,7 @@ class SiteSwarm:
             yield from self.tracker.depart(peer_id, site)
         except (RpcTimeoutError, RemoteError):
             pass  # tracker may be down; the stale entry just lingers
-        self.monitor.counters.increment("seeds_stopped")
+        self.counters.increment("seeds_stopped")
         return True
 
     def seeders_of(self, site: str) -> List[str]:
@@ -98,7 +98,7 @@ class SiteSwarm:
         try:
             candidates = yield from self.tracker.get_peers(visitor_id, site)
         except (RpcTimeoutError, RemoteError) as exc:
-            self.monitor.counters.increment("visits_failed_tracker")
+            self.counters.increment("visits_failed_tracker")
             raise WebAppError("tracker unreachable") from exc
         tried = 0
         for peer in candidates:
@@ -115,10 +115,10 @@ class SiteSwarm:
                 continue
             if isinstance(bundle, SiteBundle) and bundle.verify():
                 if bundle.manifest.site_address == site:
-                    self.monitor.counters.increment("visits_ok")
+                    self.counters.increment("visits_ok")
                     return bundle
-            self.monitor.counters.increment("bad_bundles_rejected")
-        self.monitor.counters.increment("visits_failed_no_seeder")
+            self.counters.increment("bad_bundles_rejected")
+        self.counters.increment("visits_failed_no_seeder")
         raise WebAppError(
             f"no live seeder for site {site[:12]} ({tried} peers tried)"
         )

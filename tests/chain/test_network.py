@@ -218,7 +218,7 @@ class TestConsensusCost:
             for participant in network.participants():
                 participant.stop_mining()
             sim.run(until=sim.now + 10 * delay + 1)
-            mined = network.monitor.counters.get("blocks_mined")
+            mined = network.counters.get("blocks_mined")
             stale_fraction[delay] = round(
                 network.stale_block_count() / mined, 3
             )

@@ -15,11 +15,12 @@ from repro.dht import (
 )
 from repro.errors import DHTError, LookupFailedError
 from repro.net import ConstantLatency, Network
+from repro.obs import Metrics
 from repro.sim import RngStreams, Simulator
 
 
-def make_network(seed=1, latency=0.01, loss_rate=0.0):
-    sim = Simulator()
+def make_network(seed=1, latency=0.01, loss_rate=0.0, metrics=None):
+    sim = Simulator(metrics=metrics)
     network = Network(
         sim, RngStreams(seed), latency=ConstantLatency(latency), loss_rate=loss_rate
     )
@@ -236,27 +237,30 @@ class TestKademliaProtocol:
             build_overlay(network, [], SMALL)
 
     def test_lookup_converges_in_logarithmic_hops(self):
-        sim, network = make_network(seed=11)
+        metrics = Metrics()
+        sim, network = make_network(seed=11, metrics=metrics)
         names = [f"n{i}" for i in range(64)]
         overlay = build_overlay(network, names, DhtConfig(k=8, alpha=3))
-        rpcs_before = network.monitor.counters.get("rpcs_sent")
+        rpcs_before = metrics.counter("net.rpcs_sent")
 
         def scenario():
             return (yield from overlay["n0"].lookup(key_for("needle")))
 
         sim.run_process(scenario())
-        rpcs_used = network.monitor.counters.get("rpcs_sent") - rpcs_before
+        rpcs_used = metrics.counter("net.rpcs_sent") - rpcs_before
         # log2(64)=6 rounds of alpha=3 with some slack; far less than N.
         assert rpcs_used < 40
 
     def test_lookup_cost_grows_sublinearly_with_overlay_size(self):
         rpcs_per_lookup = {}
         for n in (16, 64, 256):
-            sim, network = make_network(seed=2, latency=0.005)
+            metrics = Metrics()
+            sim, network = make_network(seed=2, latency=0.005,
+                                        metrics=metrics)
             overlay = build_overlay(
                 network, [f"n{i}" for i in range(n)], DhtConfig(k=8, alpha=3)
             )
-            before = network.monitor.counters.get("rpcs_sent")
+            before = metrics.counter("net.rpcs_sent")
 
             def lookups():
                 for i in range(20):
@@ -264,7 +268,7 @@ class TestKademliaProtocol:
 
             sim.run_process(lookups())
             rpcs_per_lookup[n] = round(
-                (network.monitor.counters.get("rpcs_sent") - before) / 20, 1
+                (metrics.counter("net.rpcs_sent") - before) / 20, 1
             )
         # 16x the nodes must cost far less than 16x the RPCs.
         assert rpcs_per_lookup[256] < 4 * rpcs_per_lookup[16]

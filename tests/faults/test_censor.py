@@ -6,7 +6,7 @@ import pytest
 from repro.errors import FaultError, RpcTimeoutError
 from repro.faults import Censor, FaultInjector, FaultPlan
 from repro.net import ConstantLatency, Network
-from repro.obs import Tracer, observe
+from repro.obs import Metrics, Tracer, observe
 from repro.sim import RngStreams, Simulator
 
 
@@ -110,7 +110,9 @@ class TestBorderSemantics:
         assert not network.can_reach("svc0", "in0")
 
     def test_blocked_message_dropped_with_censor_reason(self):
-        sim, streams, network = build()
+        metrics = Metrics()
+        with observe(metrics=metrics):
+            sim, streams, network = build()
         plan = FaultPlan([campaign()])
         injector = FaultInjector(sim, network, plan, streams)
         injector.arm()
@@ -120,12 +122,12 @@ class TestBorderSemantics:
         sim.schedule_at(20.0, network.send, "in0", "svc0", "m", 1)
         sim.run(until=30.0)
         assert delivered == []
-        assert network.monitor.counters.get("messages_censored") == 1
+        assert metrics.counter("net.messages_dropped.censor") == 1
         assert injector.censor_cost()["blocked_flows"] == 1
 
     def test_blocked_rpc_request_traced_at_its_size(self):
-        tracer = Tracer()
-        with observe(tracer=tracer):
+        tracer, metrics = Tracer(), Metrics()
+        with observe(tracer=tracer, metrics=metrics):
             sim, streams, network = build()
         FaultInjector(sim, network, FaultPlan([campaign()]), streams).arm()
         network.node("svc0").register_handler(
@@ -142,10 +144,12 @@ class TestBorderSemantics:
         drops = [(d["leg"], d["reason"], d["bytes"])
                  for d in tracer.iter_kind("msg_drop")]
         assert drops == [("rpc_request", "censor", 300)]
-        assert network.monitor.counters.get("messages_censored") == 1
+        assert metrics.counter("net.messages_dropped.censor") == 1
 
     def test_degrade_drops_probabilistically_inbound(self):
-        sim, streams, network = build()
+        metrics = Metrics()
+        with observe(metrics=metrics):
+            sim, streams, network = build()
         plan = FaultPlan([campaign(degrade_prob=0.5, heal_at=None)])
         FaultInjector(sim, network, plan, streams).arm()
         delivered = []
@@ -156,13 +160,15 @@ class TestBorderSemantics:
         sim.run(until=300.0)
         # roughly half survive; all-blocked or all-pass would be a bug
         assert 40 < len(delivered) < 160
-        censored = network.monitor.counters.get("messages_censored")
+        censored = metrics.counter("net.messages_dropped.censor")
         assert censored == 200 - len(delivered)
 
     def test_mid_flight_campaign_kills_in_flight_message(self):
         # The censor verdict is consulted at delivery time, so a message
         # launched just before the border goes up still dies at it.
-        sim, streams, network = build()
+        metrics = Metrics()
+        with observe(metrics=metrics):
+            sim, streams, network = build()
         plan = FaultPlan([campaign(at=10.0)])
         FaultInjector(sim, network, plan, streams).arm()
         delivered = []
@@ -171,7 +177,7 @@ class TestBorderSemantics:
         sim.schedule_at(9.99, network.send, "in0", "svc0", "m", 1)
         sim.run(until=20.0)
         assert delivered == []
-        assert network.monitor.counters.get("messages_censored") == 1
+        assert metrics.counter("net.messages_dropped.censor") == 1
 
 
 class TestDetectionAndReblock:

@@ -67,6 +67,28 @@ class TestExitCodes:
         assert captured.out == ""
         assert "chaos: LatencySpike.factor must be > 1, got nan" in captured.err
 
+    @pytest.mark.parametrize("event, message", [
+        ('{"kind": "partition", "at": 5, "groups": 5}',
+         "event 0 (partition): 'int' object is not iterable"),
+        ('{"kind": "partition", "at": 5, "groups": [1, 2]}',
+         "event 0 (partition): 'int' object is not iterable"),
+        ('{"kind": "censor", "at": 5, "inside": 3}',
+         "event 0 (censor): 'int' object is not iterable"),
+        ('{"kind": "censor", "at": 5, "inside": ["a"], "fingerprints": 7}',
+         "event 0 (censor): 'int' object is not iterable"),
+        ('{"kind": "drop_burst", "window": 3, "prob": 0.5}',
+         "DropBurst.window must be a (start, end) pair, got 3"),
+    ], ids=["groups-int", "group-int", "inside-int", "fingerprints-int",
+            "window-int"])
+    def test_malformed_plan_field_exits_two(self, tmp_path, capsys, event,
+                                            message):
+        plan = tmp_path / "bad.json"
+        plan.write_text('{"events": [' + event + ']}')
+        assert main(["chaos", "E4", "--plan", str(plan)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"chaos: {message}" in captured.err
+
     def test_lowercase_experiment_accepted(self, capsys):
         assert main(["chaos", "e6", "--plan", "quiet"]) == 0
         capsys.readouterr()

@@ -31,8 +31,7 @@ def build(tracer=None):
 
 def always_fails(message="boom"):
     return Invariant(
-        name="always_fails", description="test stub",
-        check=lambda ctx: (message, {"k": 1}),
+        name="always_fails", check=lambda ctx: (message, {"k": 1}),
     )
 
 

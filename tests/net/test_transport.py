@@ -6,6 +6,7 @@ from repro.errors import (
     NetworkError,
     NodeOfflineError,
     RemoteError,
+    ReproError,
     RpcTimeoutError,
 )
 from repro.net import (
@@ -14,15 +15,14 @@ from repro.net import (
     Network,
     Node,
     NodeClass,
-    PlanetLatency,
-    UniformLatency,
 )
+from repro.obs import Metrics, observe
 from repro.sim import RngStreams, Simulator
 
 
 @pytest.fixture
 def net():
-    sim = Simulator()
+    sim = Simulator(metrics=Metrics())
     network = Network(sim, RngStreams(1), latency=ConstantLatency(0.05))
     return sim, network
 
@@ -88,33 +88,10 @@ class TestLatencyModels:
         b = Node("b", downstream_bps=1e6)
         assert ConstantLatency(0.0).delay(a, b, 125_000) == pytest.approx(1.0)
 
-    def test_uniform_within_bounds(self):
-        streams = RngStreams(2)
-        model = UniformLatency(streams, 0.01, 0.02)
-        a, b = Node("a"), Node("b")
-        for _ in range(100):
-            assert 0.01 <= model.propagation_delay(a, b) <= 0.02
-
     def test_lognormal_positive(self):
         model = LogNormalLatency(RngStreams(3), median=0.05)
         a, b = Node("a"), Node("b")
         assert all(model.propagation_delay(a, b) > 0 for _ in range(100))
-
-    def test_planet_self_delay_zero_and_symmetric(self):
-        model = PlanetLatency(RngStreams(4))
-        a, b = Node("a"), Node("b")
-        assert model.propagation_delay(a, a) == 0.0
-        assert model.propagation_delay(a, b) == pytest.approx(
-            model.propagation_delay(b, a)
-        )
-
-    def test_planet_placement_affects_delay(self):
-        model = PlanetLatency(RngStreams(5), diameter_seconds=0.3)
-        a, b, c = Node("a"), Node("b"), Node("c")
-        model.place(a, 0.0, 0.0)
-        model.place(b, 0.01, 0.0)
-        model.place(c, 1.0, 1.0)
-        assert model.propagation_delay(a, b) < model.propagation_delay(a, c)
 
     def test_negative_size_rejected(self):
         with pytest.raises(NetworkError):
@@ -150,7 +127,7 @@ class TestSend:
         network.send("a", "b", "ping")
         sim.run()
         assert received == []
-        assert network.monitor.counters.get("messages_to_offline") == 1
+        assert sim.metrics.counter("net.messages_dropped.offline") == 1
 
     def test_node_going_offline_mid_flight_loses_message(self, net):
         sim, network = net
@@ -169,7 +146,33 @@ class TestSend:
         network.create_node("b")
         network.send("a", "b", "nosuch")
         sim.run()  # one-way failures must not crash the simulation
-        assert network.monitor.counters.get("handler_errors") == 1
+        assert sim.metrics.counter("net.handler_errors") == 1
+
+    def test_handler_errors_counted_on_both_paths(self):
+        # A missing handler fails at dispatch; a generator handler fails
+        # inside its spawned process, after a yield.  Both are counted
+        # and neither stops the run.
+        metrics = Metrics()
+        with observe(metrics=metrics):
+            sim = Simulator()
+            network = Network(sim, RngStreams(1),
+                              latency=ConstantLatency(0.05))
+        network.create_node("a")
+        b = network.create_node("b")
+
+        def failing_later(node, payload, sender):
+            yield 1.0
+            raise ReproError("handler gave up")
+
+        received = []
+        b.register_handler("later", failing_later)
+        b.register_handler("ok", lambda node, p, s: received.append(sim.now))
+        network.send("a", "b", "nosuch")
+        network.send("a", "b", "later")
+        sim.schedule(5.0, network.send, "a", "b", "ok")
+        sim.run()
+        assert received == [pytest.approx(5.05)]
+        assert metrics.counter("net.handler_errors") == 2
 
     def test_broadcast_skips_self(self, net):
         sim, network = net
@@ -320,7 +323,7 @@ class TestPartitions:
         network.send("a", "b", "m")
         sim.run()
         assert received == []
-        assert network.monitor.counters.get("messages_partitioned") == 1
+        assert sim.metrics.counter("net.messages_dropped.partition") == 1
 
     def test_same_partition_delivers(self, net):
         sim, network = net

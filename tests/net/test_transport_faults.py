@@ -12,12 +12,12 @@ from repro.faults import (
     Partition,
 )
 from repro.net import ConstantLatency, FaultSurface, Network
-from repro.obs import Tracer, observe
+from repro.obs import Metrics, Tracer, observe
 from repro.sim import RngStreams, Simulator
 
 
-def build(loss_rate=0.0, seed=1, tracer=None):
-    with observe(tracer=tracer):
+def build(loss_rate=0.0, seed=1, tracer=None, metrics=None):
+    with observe(tracer=tracer, metrics=metrics):
         sim = Simulator()
         streams = RngStreams(seed)
         network = Network(sim, streams, latency=ConstantLatency(0.05),
@@ -91,8 +91,8 @@ class TestFlowAccounting:
 
 class TestCorruptWindow:
     def test_corrupt_drops_carry_reason(self):
-        tracer = Tracer()
-        sim, streams, network = build(seed=3, tracer=tracer)
+        tracer, metrics = Tracer(), Metrics()
+        sim, streams, network = build(seed=3, tracer=tracer, metrics=metrics)
         network.node("b").register_handler(
             "m", lambda node, payload, sender: None
         )
@@ -101,7 +101,7 @@ class TestCorruptWindow:
         for i in range(80):
             sim.schedule(1.0 + i * 0.5, network.send, "a", "b", "m", i)
         sim.run(until=100.0)
-        corrupted = network.monitor.counters.get("messages_corrupted")
+        corrupted = metrics.counter("net.messages_dropped.corrupt")
         assert corrupted > 0
         drops = [e for e in tracer.iter_kind("msg_drop")]
         assert all(e["reason"] == "corrupt" for e in drops)
@@ -150,8 +150,8 @@ class TestRpcRetryUnderPartition:
         mid-call is survived by a later attempt rather than poisoning
         the whole RPC.
         """
-        tracer = Tracer()
-        sim, streams, network = build(tracer=tracer)
+        tracer, metrics = Tracer(), Metrics()
+        sim, streams, network = build(tracer=tracer, metrics=metrics)
         network.node("b").register_handler(
             "echo", lambda node, payload, sender: payload
         )
@@ -180,7 +180,7 @@ class TestRpcRetryUnderPartition:
             (1, 30.5, "timeout"),
             (2, 60.5, "ok"),
         ]
-        assert network.monitor.counters.get("rpcs_retried") == 2
+        assert metrics.counter("net.rpc_retries") == 2
         assert network.flow_snapshot()["in_flight"] == 0
 
     def test_unhealed_partition_exhausts_retries(self):

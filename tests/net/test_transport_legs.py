@@ -38,13 +38,30 @@ TRACKED_PER_RPC = 13
 RPC_ROUNDS = 400
 
 
-@pytest.fixture
-def pair():
-    sim = Simulator()
+def _pair(metrics=None):
+    sim = Simulator(metrics=metrics)
     network = Network(sim, RngStreams(1), latency=ConstantLatency(0.05))
     network.create_node("a")
     network.create_node("b").register_handler("ping", lambda *args: None)
     return sim, network
+
+
+@pytest.fixture
+def pair():
+    return _pair()
+
+
+@pytest.fixture
+def metered_pair():
+    """``pair`` with a metrics registry: the transport's only counters."""
+    metrics = Metrics()
+    return (*_pair(metrics), metrics)
+
+
+def net_counters(metrics):
+    return {name: count
+            for name, count in metrics.snapshot()["counters"].items()
+            if name.startswith("net.")}
 
 
 def tracked_per_leg(issue_one_leg):
@@ -211,11 +228,11 @@ class TestRpcEventBudget:
 
 
 class TestRpcCallEdges:
-    def test_timer_wins_a_same_instant_tie(self, pair):
+    def test_timer_wins_a_same_instant_tie(self, metered_pair):
         # Request and response each take exactly 0.05 s, so the
         # response lands at the timeout instant; the timer was scheduled
         # first and decides the call.
-        sim, network = pair
+        sim, network, metrics = metered_pair
         network.node("b").register_handler(
             "echo", lambda node, payload, sender: payload)
 
@@ -228,16 +245,16 @@ class TestRpcCallEdges:
             return None
 
         assert sim.run_process(client()) == 0.1
-        assert network.monitor.counters.get("rpcs_timed_out") == 1
+        assert metrics.counter("net.rpcs_timeout") == 1
         assert sim.stale_resumes == 0
 
 
 class TestNegativeSizes:
-    def test_one_way_rejected_before_any_accounting(self, pair):
-        sim, network = pair
+    def test_one_way_rejected_before_any_accounting(self, metered_pair):
+        sim, network, metrics = metered_pair
         with pytest.raises(NetworkError, match="negative message size"):
             network.send("a", "b", "ping", size_bytes=-1)
-        assert network.monitor.counters.as_dict() == {}
+        assert net_counters(metrics) == {}
         assert network.flow_snapshot()["sent"] == 0
         assert sim.pending_events == 0
 
@@ -245,8 +262,8 @@ class TestNegativeSizes:
         {"size_bytes": -1},
         {"response_bytes": -1},
     ])
-    def test_rpc_rejected_in_the_caller(self, pair, sizes):
-        sim, network = pair
+    def test_rpc_rejected_in_the_caller(self, metered_pair, sizes):
+        sim, network, metrics = metered_pair
         network.node("b").register_handler("echo", lambda n, p, s: p)
 
         def client():
@@ -256,13 +273,13 @@ class TestNegativeSizes:
                 return str(exc)
 
         assert "negative message size" in sim.run_process(client())
-        assert network.monitor.counters.as_dict() == {}
+        assert net_counters(metrics) == {}
         assert network.flow_snapshot() == {
             "sent": 0, "delivered": 0, "dropped": 0, "in_flight": 0,
         }
 
-    def test_negative_rpc_timeout_rejected_in_the_caller(self, pair):
-        sim, network = pair
+    def test_negative_rpc_timeout_rejected_in_the_caller(self, metered_pair):
+        sim, network, metrics = metered_pair
 
         def client():
             try:
@@ -271,13 +288,13 @@ class TestNegativeSizes:
                 return str(exc)
 
         assert "negative rpc timeout" in sim.run_process(client())
-        assert network.monitor.counters.as_dict() == {}
+        assert net_counters(metrics) == {}
         assert sim.pending_events == 0
 
-    def test_nan_rpc_timeout_rejected_in_the_caller(self, pair):
+    def test_nan_rpc_timeout_rejected_in_the_caller(self, metered_pair):
         # A NaN timer would fire before the response and time out a
         # call to a live server.
-        sim, network = pair
+        sim, network, metrics = metered_pair
         network.node("b").register_handler("echo", lambda n, p, s: p)
 
         def client():
@@ -288,5 +305,5 @@ class TestNegativeSizes:
                 return str(exc)
 
         assert "negative rpc timeout" in sim.run_process(client())
-        assert network.monitor.counters.as_dict() == {}
+        assert net_counters(metrics) == {}
         assert network.flow_snapshot()["sent"] == 0

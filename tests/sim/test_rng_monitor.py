@@ -1,9 +1,8 @@
-"""Tests for RNG streams and measurement helpers."""
+"""Tests for RNG streams and the per-component :class:`Counter`."""
 
 import pytest
 
-from repro.sim import Monitor, RngStreams, Sampler, TimeWeightedGauge, derive_seed
-from repro.sim.monitor import Counter, summarize
+from repro.sim import Counter, RngStreams, derive_seed
 
 
 class TestRngStreams:
@@ -30,29 +29,6 @@ class TestRngStreams:
         assert derive_seed(7, "a") == derive_seed(7, "a")
         assert derive_seed(7, "a") != derive_seed(7, "b")
 
-    def test_fork_creates_independent_space(self):
-        streams = RngStreams(5)
-        fork_a = streams.fork("node-a")
-        fork_b = streams.fork("node-b")
-        assert fork_a.stream("x").random() != fork_b.stream("x").random()
-
-    def test_exponential_positive_and_mean(self):
-        streams = RngStreams(3)
-        draws = [streams.exponential("e", 10.0) for _ in range(5000)]
-        assert all(d >= 0 for d in draws)
-        assert 9.0 < sum(draws) / len(draws) < 11.0
-
-    def test_exponential_rejects_bad_mean(self):
-        with pytest.raises(ValueError):
-            RngStreams(1).exponential("e", 0.0)
-
-    def test_shuffled_does_not_mutate(self):
-        streams = RngStreams(4)
-        original = [1, 2, 3, 4, 5]
-        out = streams.shuffled("s", original)
-        assert original == [1, 2, 3, 4, 5]
-        assert sorted(out) == original
-
 
 class TestCounterSampler:
     def test_counter_accumulates(self):
@@ -65,55 +41,3 @@ class TestCounterSampler:
     def test_counter_rejects_negative(self):
         with pytest.raises(ValueError):
             Counter().increment("x", -1)
-
-    def test_sampler_mean_and_summary(self):
-        s = Sampler()
-        for v in [1.0, 2.0, 3.0]:
-            s.record("lat", v)
-        assert s.mean("lat") == pytest.approx(2.0)
-        summary = s.summary("lat")
-        assert summary.count == 3
-        assert summary.minimum == 1.0
-        assert summary.maximum == 3.0
-
-    def test_sampler_empty_mean_raises(self):
-        with pytest.raises(ValueError):
-            Sampler().mean("nothing")
-
-    def test_summarize_percentiles(self):
-        summary = summarize([float(i) for i in range(1, 101)])
-        assert summary.p50 == 50.0
-        assert summary.p90 == 90.0
-        assert summary.p99 == 99.0
-
-    def test_summarize_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-
-class TestGauge:
-    def test_time_average_piecewise(self):
-        g = TimeWeightedGauge(initial=0.0)
-        g.set(10.0, 4.0)   # 0 for [0,10], then 4
-        assert g.time_average(20.0) == pytest.approx((0 * 10 + 4 * 10) / 20)
-
-    def test_add_delta(self):
-        g = TimeWeightedGauge(initial=2.0)
-        g.add(5.0, 3.0)
-        assert g.value == 5.0
-
-    def test_backwards_time_rejected(self):
-        g = TimeWeightedGauge()
-        g.set(10.0, 1.0)
-        with pytest.raises(ValueError):
-            g.set(5.0, 2.0)
-
-    def test_monitor_report_shape(self):
-        m = Monitor()
-        m.counters.increment("events")
-        m.samples.record("lat", 1.5)
-        m.gauge("replicas", initial=3.0)
-        report = m.report(now=10.0)
-        assert report["count.events"] == 1
-        assert report["sample.lat"]["count"] == 1
-        assert report["gauge.replicas"] == pytest.approx(3.0)

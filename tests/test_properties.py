@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import string
+from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -8,7 +9,9 @@ from repro.chain import LedgerRules, LedgerState, TxKind, apply_transaction, mak
 from repro.crypto import MerkleTree, generate_keypair, hash_obj, verify
 from repro.errors import InvalidTransactionError
 from repro.gossip import ReplicaStore, Versioned
-from repro.sim import Simulator, TimeWeightedGauge, summarize
+import repro.obs.metrics as metrics_mod
+from repro.obs.metrics import Histogram
+from repro.sim import Simulator
 from repro.storage import DataBlob, ErasureCode, seal_chunk, unseal_chunk
 from repro.storage.erasure import gf_inv, gf_mul
 
@@ -248,39 +251,28 @@ class TestEngineProperties:
 
 
 # ---------------------------------------------------------------------------
-# Monitors: summarize() bounds; gauge average within value bounds
+# Histograms: a merged summary() is ordered and its mean lies in [min, max]
 # ---------------------------------------------------------------------------
 
-class TestMonitorProperties:
+class TestHistogramProperties:
     @given(values=st.lists(
         st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
         min_size=1, max_size=100,
-    ))
+    ), data=st.data())
     @settings(max_examples=50, deadline=None)
-    def test_summary_ordering_invariants(self, values):
-        s = summarize(values)
-        assert s.minimum <= s.p50 <= s.p90 <= s.p99 <= s.maximum
-        assert s.minimum <= s.mean <= s.maximum
-        assert s.stdev >= 0
-
-    @given(steps=st.lists(
-        st.tuples(
-            st.floats(min_value=0.01, max_value=10.0, allow_nan=False),
-            st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
-        ),
-        min_size=1, max_size=30,
-    ))
-    @settings(max_examples=50, deadline=None)
-    def test_gauge_average_bounded_by_extremes(self, steps):
-        gauge = TimeWeightedGauge(initial=0.0)
-        now = 0.0
-        values = [0.0]
-        for dt, value in steps:
-            now += dt
-            gauge.set(now, value)
-            values.append(value)
-        average = gauge.time_average(now + 1.0)
-        assert min(values) - 1e-9 <= average <= max(values) + 1e-9
+    def test_summary_ordering_invariants(self, values, data):
+        split = data.draw(st.integers(min_value=0, max_value=len(values)))
+        # A cap of 4 sends most merges through the bucket sketch.
+        with mock.patch.object(metrics_mod, "RAW_SAMPLE_CAP", 4):
+            merged, other = Histogram(), Histogram()
+            for value in values[:split]:
+                merged.observe(value)
+            for value in values[split:]:
+                other.observe(value)
+            merged.merge(other)
+            s = merged.summary()
+        assert s["min"] <= s["p50"] <= s["p90"] <= s["p99"] <= s["max"]
+        assert s["min"] <= s["mean"] <= s["max"]
 
 
 # ---------------------------------------------------------------------------

@@ -360,4 +360,4 @@ class TestMaliciousSeeder:
                 return "unavailable-but-never-fooled"
 
         assert sim.run_process(scenario()) == "unavailable-but-never-fooled"
-        assert swarm.monitor.counters.get("bad_bundles_rejected") >= 1
+        assert swarm.counters.get("bad_bundles_rejected") >= 1
