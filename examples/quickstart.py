@@ -9,7 +9,8 @@ app.
 Run:  python examples/quickstart.py
 """
 
-from repro.analysis import render_kv, render_table, run_feasibility
+from repro.analysis import render_kv, render_table
+from repro.analysis.experiments import run_feasibility
 from repro.core import paper_model
 from repro.crypto import generate_keypair
 from repro.groupcomm import ReplicatedFederation

@@ -28,15 +28,8 @@ import os
 import sys
 from typing import List
 
-from repro.analysis import (
-    CLAIMS,
-    SweepCache,
-    SweepRunner,
-    render_kv,
-    render_table,
-    verify_reproduction,
-)
-from repro.analysis.claims import accepts
+from repro.analysis import SweepCache, SweepRunner, render_kv, render_table
+from repro.analysis.claims import CLAIMS, accepts, verify_reproduction
 
 
 def _table1() -> None:
@@ -52,7 +45,7 @@ def _table2() -> None:
 
 
 def _table3() -> None:
-    from repro.analysis import run_feasibility
+    from repro.analysis.experiments import run_feasibility
 
     result = run_feasibility()
     print(render_table(result["table3"]))

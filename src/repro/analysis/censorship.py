@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.runner import SweepRunner
+from repro.faults import preset_plan, run_chaos
 
 __all__ = ["CENSOR_EXPERIMENTS", "CENSOR_PRESETS", "run_censorship_sweep"]
 
@@ -30,14 +31,7 @@ CENSOR_PRESETS = ("border-block", "border-block-probing", "border-flap")
 
 
 def _censor_point(experiment: str, preset: str, seed: int) -> Dict[str, Any]:
-    """One grid point: a full chaos run condensed to a summary row.
-
-    Imports stay inside the function so the runner's worker pool can
-    pickle the callable without dragging the fault subsystem into every
-    analysis import.
-    """
-    from repro.faults import preset_plan, run_chaos
-
+    """One grid point: a full chaos run condensed to a summary row."""
     report = run_chaos(experiment, preset_plan(preset), seed)
     result = report["result"]
     cost = result["censor_cost"]

@@ -62,7 +62,6 @@ from repro.net import (
     Network,
     attach_churn,
 )
-from repro.net.topology import small_world
 from repro.sim import RngStreams, Simulator
 from repro.storage import (
     DealState,
@@ -390,6 +389,8 @@ def _social_point(
     ``ChurnProfile``) so the config is JSON-canonicalizable for the
     runner's cache and picklable for its worker pool.
     """
+    from repro.net.topology import small_world
+
     profile = ChurnProfile(
         mean_uptime=mean_uptime, mean_downtime=mean_downtime,
         attrition=attrition,

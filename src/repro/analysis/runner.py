@@ -44,7 +44,6 @@ import os
 import pickle
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -457,6 +456,9 @@ class SweepRunner:
         """Run the non-cached tasks; returns ``(result, elapsed)`` pairs
         in ``pending`` order."""
         if self.workers > 1 and len(pending) > 1 and self._picklable(fn, pending):
+            # Imported here: a serial run never needs multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
+
             payloads = [
                 (index, fn, kwargs) for index, _key, kwargs in pending
             ]

@@ -9,6 +9,7 @@ from repro.groupcomm.federated import (
     FederationBase,
     ReplicatedFederation,
     SingleHomeFederation,
+    federation_homes,
 )
 from repro.groupcomm.messages import Audience, Message, Room
 from repro.groupcomm.partial import (
@@ -55,6 +56,7 @@ __all__ = [
     "SingleHomeFederation",
     "ReplicatedFederation",
     "FederationBase",
+    "federation_homes",
     "PartialFederation",
     "FederationHub",
     "FederationPeer",

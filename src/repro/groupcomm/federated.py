@@ -19,17 +19,49 @@ Both share user-homing and room-membership plumbing through
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, Generator, List, Optional, Set
+from typing import Any, Dict, Generator, List, Optional, Sequence, Set
 
-from repro.errors import GroupCommError, RemoteError, RpcTimeoutError
+from repro.errors import (
+    GroupCommError,
+    NetworkError,
+    RemoteError,
+    RpcTimeoutError,
+)
 from repro.gossip.antientropy import AntiEntropyNode
 from repro.groupcomm.messages import Message, Room
 from repro.net.node import NodeClass
 from repro.net.transport import Network
-from repro.net.topology import federation_homes
-from repro.sim.rng import RngStreams
+from repro.sim.rng import RngStreams, seeded_rng
 
-__all__ = ["FederationBase", "SingleHomeFederation", "ReplicatedFederation"]
+__all__ = [
+    "FederationBase",
+    "SingleHomeFederation",
+    "ReplicatedFederation",
+    "federation_homes",
+]
+
+
+def federation_homes(
+    user_ids: Sequence[str], server_ids: Sequence[str], seed: int = 0
+) -> Dict[str, str]:
+    """Assign each user a home server, round-robin after a seeded shuffle.
+
+    Round-robin keeps instances balanced; the shuffle decorrelates user
+    index from server index so failure experiments aren't accidentally
+    structured.  The shuffle draws from the named stream
+    ``"topology.federation_homes"`` (see :func:`repro.sim.rng.seeded_rng`)
+    so it is independent of every other consumer of the same root seed.
+    The stream keeps the name of the module the function first lived in:
+    renaming it would re-home every user.
+    """
+    if not server_ids:
+        raise NetworkError("need at least one server")
+    shuffled = list(user_ids)
+    seeded_rng(seed, "topology.federation_homes").shuffle(shuffled)
+    return {
+        user_id: server_ids[i % len(server_ids)]
+        for i, user_id in enumerate(shuffled)
+    }
 
 
 class FederationBase:

@@ -11,14 +11,15 @@ binding.  The attack succeeds exactly when the attacker gets at least one
 edge from inside the honest region (a social-engineering event the model
 parameterizes), because Sybil identities are free — the quantitative point
 of the E6-adjacent WoT experiments.
+
+networkx is imported by the two methods that build or search the graph,
+so importing :mod:`repro.naming` does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
-
-import networkx as nx
 
 from repro.crypto.keys import KeyPair, generate_keypair
 from repro.errors import NamingError
@@ -38,6 +39,8 @@ class WebOfTrust:
     kind = "web_of_trust"
 
     def __init__(self, trust_horizon: int = 3, endorsements_required: int = 2):
+        import networkx as nx
+
         if trust_horizon < 1:
             raise NamingError(f"trust horizon must be >= 1: {trust_horizon}")
         if endorsements_required < 1:
@@ -81,6 +84,8 @@ class WebOfTrust:
 
     def reachable_from(self, anchors: List[str]) -> Set[str]:
         """Identities within ``trust_horizon`` hops of any anchor."""
+        import networkx as nx
+
         reachable: Set[str] = set()
         for anchor in anchors:
             if anchor not in self._graph:

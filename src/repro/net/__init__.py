@@ -1,4 +1,7 @@
-"""Simulated network substrate: nodes, latency, transport, churn, topology."""
+"""Simulated network substrate: nodes, latency, transport, churn.
+
+The networkx graph builders are imported from :mod:`repro.net.topology`.
+"""
 
 from repro.net.churn import (
     DATACENTER_PROFILE,
@@ -14,7 +17,6 @@ from repro.net.churn import (
 )
 from repro.net.latency import ConstantLatency, LatencyModel, LogNormalLatency
 from repro.net.node import Node, NodeClass
-from repro.net.topology import isp_tree, nodes_in_region
 from repro.net.transport import (
     DEFAULT_MESSAGE_BYTES,
     CensorSurface,
@@ -28,8 +30,6 @@ __all__ = [
     "Network",
     "CensorSurface",
     "FaultSurface",
-    "isp_tree",
-    "nodes_in_region",
     "DEFAULT_MESSAGE_BYTES",
     "LatencyModel",
     "ConstantLatency",

@@ -1,24 +1,20 @@
 """Topology and social-graph builders.
 
 Graphs are :mod:`networkx` graphs over node-id strings.  Protocol layers
-use them two ways:
-
-* as *connectivity* (who may talk to whom directly — e.g. socially-aware
-  P2P only serves trusted neighbours);
-* as *structure* for placement (which server a user homes to in a
-  federation).
+use them as *connectivity*: who may talk to whom directly (socially-aware
+P2P only serves trusted neighbours, pub/sub floods along edges, a censor
+border is a labelled region).
 
 Every builder takes an explicit ``seed`` so topologies are reproducible.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import networkx as nx
 
 from repro.errors import NetworkError
-from repro.sim.rng import seeded_rng
 
 __all__ = [
     "star",
@@ -26,7 +22,6 @@ __all__ = [
     "nodes_in_region",
     "random_graph",
     "small_world",
-    "federation_homes",
     "ring_lattice",
 ]
 
@@ -126,23 +121,3 @@ def ring_lattice(count: int, k: int = 2, prefix: str = "n") -> nx.Graph:
     base = nx.watts_strogatz_graph(count, k, 0.0, seed=0)
     return nx.relabel_nodes(base, {i: ids[i] for i in range(count)})
 
-
-def federation_homes(
-    user_ids: Sequence[str], server_ids: Sequence[str], seed: int = 0
-) -> Dict[str, str]:
-    """Assign each user a home server, round-robin after a seeded shuffle.
-
-    Round-robin keeps instances balanced; the shuffle decorrelates user
-    index from server index so failure experiments aren't accidentally
-    structured.  The shuffle draws from the named stream
-    ``"topology.federation_homes"`` (see :func:`repro.sim.rng.seeded_rng`)
-    so it is independent of every other consumer of the same root seed.
-    """
-    if not server_ids:
-        raise NetworkError("need at least one server")
-    shuffled = list(user_ids)
-    seeded_rng(seed, "topology.federation_homes").shuffle(shuffled)
-    return {
-        user_id: server_ids[i % len(server_ids)]
-        for i, user_id in enumerate(shuffled)
-    }

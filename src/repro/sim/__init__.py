@@ -6,21 +6,21 @@ Public surface:
 * :class:`Process` and what it waits on, one wait at a time:
   :class:`Signal`, :class:`Timeout`, :class:`AllOf`.
 * :class:`RngStreams` — named deterministic randomness.
-* :class:`DeviceCohort`, :class:`CohortEngine` — the vectorized batch
-  engine for population-scale (10^5-10^6 device) experiments.
 * :class:`Counter` — a component's own named tallies (transport and
   engine counters live in :mod:`repro.obs`).
+
+The vectorized cohort engine for population-scale (10^5-10^6 device)
+experiments, :class:`~repro.sim.cohort.DeviceCohort` and
+:class:`~repro.sim.cohort.CohortEngine`, computes with numpy and is
+imported from :mod:`repro.sim.cohort`.
 """
 
-from repro.sim.cohort import CohortEngine, DeviceCohort
 from repro.sim.engine import AllOf, Process, Signal, Simulator, Timeout
 from repro.sim.monitor import Counter
 from repro.sim.rng import RngStreams, derive_seed, seeded_generator, seeded_rng
 
 __all__ = [
     "Simulator",
-    "CohortEngine",
-    "DeviceCohort",
     "seeded_generator",
     "Process",
     "Signal",

@@ -1,7 +1,11 @@
 """EC censorship sweep: shape, seed-1 goldens, runner integration."""
 
-from repro.analysis import SweepRunner, run_censorship_sweep
-from repro.analysis.censorship import CENSOR_EXPERIMENTS, CENSOR_PRESETS
+from repro.analysis import SweepRunner
+from repro.analysis.censorship import (
+    CENSOR_EXPERIMENTS,
+    CENSOR_PRESETS,
+    run_censorship_sweep,
+)
 
 
 class TestCensorshipSweep:

@@ -8,7 +8,8 @@ import re
 
 import pytest
 
-from repro.analysis import CLAIMS, render_table
+from repro.analysis import render_table
+from repro.analysis.claims import CLAIMS
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 

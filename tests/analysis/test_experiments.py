@@ -2,19 +2,18 @@
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis import render_kv, render_table
+from repro.analysis.experiments import (
     naming_attack_curve,
-    render_kv,
-    render_table,
     run_federation_availability,
-    run_partial_federation_sweep,
     run_feasibility,
+    run_moderation_comparison,
+    run_partial_federation_sweep,
     run_proof_economics,
     run_quality_vs_quantity,
     run_social_tradeoff,
     run_swarm_availability,
 )
-from repro.analysis.experiments import run_moderation_comparison
 
 
 class TestTableRendering:

@@ -13,8 +13,8 @@ from repro.net import (
     profile_for_class,
 )
 from repro.net.churn import PERSONAL_COMPUTER_PROFILE, SMARTPHONE_PROFILE
+from repro.groupcomm.federated import federation_homes
 from repro.net.topology import (
-    federation_homes,
     isp_tree,
     random_graph,
     ring_lattice,
