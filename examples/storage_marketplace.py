@@ -60,7 +60,7 @@ def main() -> None:
         sealed = seal_blob(blob, "replica-2")
         sybil.accept_blob(seal_blob(blob, "replica-1"))
         sybil.claim_sealed_without_storing(sealed, blob, "replica-2")
-        deals["sybil"] = yield from market.register_external_deal(StorageDeal(
+        deals["sybil"] = market.register_external_deal(StorageDeal(
             deal_id="sybil-deal",
             consumer="consumer",
             provider_id="sybil-provider",

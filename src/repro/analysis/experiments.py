@@ -742,7 +742,7 @@ def _proof_economics_point(
                 epochs_total=epochs,
                 proof_kind=proof_kind,
             )
-            yield from market.register_external_deal(deal)
+            market.register_external_deal(deal)
         elif behaviour == "outsourcing_far":
             backend = StorageProvider(network, "backend")
             backend.accept_blob(blob)
@@ -757,7 +757,7 @@ def _proof_economics_point(
                 epochs_total=epochs,
                 proof_kind=proof_kind,
             )
-            yield from market.register_external_deal(deal)
+            market.register_external_deal(deal)
         else:
             deal = yield from market.make_deal(
                 "consumer", blob, epochs=epochs, proof_kind=proof_kind,

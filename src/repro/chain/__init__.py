@@ -1,9 +1,9 @@
-"""Blockchain substrate: proof-of-work chain with names and contracts.
+"""Blockchain substrate: proof-of-work chain with payments and names.
 
-Built from scratch for the naming (§3.1) and storage (§3.3) experiments:
-transactions and blocks, a ledger state machine (balances, names,
-contracts), per-node chain views with heaviest-chain fork choice, a mining
-network with Poisson miners and propagation delay, and 51%-attack tooling.
+Built from scratch for the naming (§3.1) and chain-attack experiments:
+transactions and blocks, a ledger state machine (balances and names),
+per-node chain views with heaviest-chain fork choice, a mining network
+with Poisson miners and propagation delay, and 51%-attack tooling.
 """
 
 from repro.chain.attacks import (
@@ -17,7 +17,6 @@ from repro.chain.block import GENESIS_PARENT, Block, make_block, make_genesis
 from repro.chain.chainstate import ChainState
 from repro.chain.consensus import ConsensusParams, required_difficulty
 from repro.chain.ledger import (
-    ContractEntry,
     LedgerRules,
     LedgerState,
     NameEntry,
@@ -44,7 +43,6 @@ __all__ = [
     "LedgerState",
     "LedgerRules",
     "NameEntry",
-    "ContractEntry",
     "apply_transaction",
     "Mempool",
     "BlockchainNetwork",

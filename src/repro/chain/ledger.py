@@ -1,4 +1,4 @@
-"""The ledger state machine: balances, names, and contracts.
+"""The ledger state machine: balances and names.
 
 State is immutable-by-convention: :meth:`LedgerState.copy` makes a
 shallow-copied snapshot whose entry objects are never mutated in place, so
@@ -18,7 +18,7 @@ from typing import Any, Dict, Optional
 from repro.chain.transaction import COINBASE_SENDER, Transaction, TxKind
 from repro.errors import InvalidTransactionError
 
-__all__ = ["LedgerState", "LedgerRules", "NameEntry", "ContractEntry", "apply_transaction"]
+__all__ = ["LedgerState", "LedgerRules", "NameEntry", "apply_transaction"]
 
 
 @dataclass(frozen=True)
@@ -34,23 +34,6 @@ class NameEntry:
 
 
 @dataclass(frozen=True)
-class ContractEntry:
-    """An open storage contract with escrowed funds.
-
-    ``terms`` is opaque to the chain (interpreted by the storage layer);
-    the ledger only enforces escrow conservation.
-    """
-
-    contract_id: str
-    consumer: str
-    provider: str
-    escrow: float
-    terms: Dict[str, Any]
-    opened_height: int
-    closed: bool = False
-
-
-@dataclass(frozen=True)
 class LedgerRules:
     """Economic constants of the simulated chain."""
 
@@ -62,21 +45,17 @@ class LedgerRules:
 
 
 class LedgerState:
-    """Account balances, the name map, contracts, and replay nonces."""
+    """Account balances, the name map, and replay nonces."""
 
     def __init__(
         self,
         balances: Optional[Dict[str, float]] = None,
         names: Optional[Dict[str, NameEntry]] = None,
-        contracts: Optional[Dict[str, ContractEntry]] = None,
         nonces: Optional[Dict[str, int]] = None,
         burned: float = 0.0,
     ):
         self.balances: Dict[str, float] = balances if balances is not None else {}
         self.names: Dict[str, NameEntry] = names if names is not None else {}
-        self.contracts: Dict[str, ContractEntry] = (
-            contracts if contracts is not None else {}
-        )
         self.nonces: Dict[str, int] = nonces if nonces is not None else {}
         self.burned = burned  # name fees are burned, not paid to anyone
 
@@ -84,7 +63,6 @@ class LedgerState:
         return LedgerState(
             balances=dict(self.balances),
             names=dict(self.names),
-            contracts=dict(self.contracts),
             nonces=dict(self.nonces),
             burned=self.burned,
         )
@@ -106,11 +84,8 @@ class LedgerState:
         return entry
 
     def total_supply(self) -> float:
-        """Sum of all balances plus open escrow (conservation check)."""
-        escrow = sum(
-            c.escrow for c in self.contracts.values() if not c.closed
-        )
-        return sum(self.balances.values()) + escrow
+        """Sum of all balances (conservation check)."""
+        return sum(self.balances.values())
 
     # -- mutation helpers (used only by apply) -------------------------------
 
@@ -119,7 +94,7 @@ class LedgerState:
 
     def _debit(self, account: str, amount: float) -> None:
         balance = self.balances.get(account, 0.0)
-        if balance < amount - 1e-9:
+        if not balance >= amount - 1e-9:
             raise InvalidTransactionError(
                 f"account {account[:12]} has {balance}, needs {amount}"
             )
@@ -167,7 +142,7 @@ def apply_transaction(
 def _apply_coinbase(state: LedgerState, tx: Transaction, rules: LedgerRules) -> None:
     reward = tx.payload.get("reward")
     recipient = tx.payload.get("to")
-    if not isinstance(reward, (int, float)) or reward < 0:
+    if not isinstance(reward, (int, float)) or not reward >= 0:
         raise InvalidTransactionError(f"bad coinbase reward {reward!r}")
     if reward > rules.block_reward + 1e-9:
         raise InvalidTransactionError(
@@ -181,7 +156,7 @@ def _apply_coinbase(state: LedgerState, tx: Transaction, rules: LedgerRules) -> 
 def _apply_pay(state, tx, height, rules) -> None:
     to = tx.payload.get("to")
     amount = tx.payload.get("amount")
-    if not to or not isinstance(amount, (int, float)) or amount <= 0:
+    if not to or not isinstance(amount, (int, float)) or not amount > 0:
         raise InvalidTransactionError(f"bad pay payload {tx.payload!r}")
     state._debit(tx.sender, float(amount))
     state._credit(to, float(amount))
@@ -265,77 +240,10 @@ def _apply_name_renew(state, tx, height, rules) -> None:
     )
 
 
-def _apply_contract_open(state, tx, height, rules) -> None:
-    contract_id = tx.payload.get("contract_id")
-    provider = tx.payload.get("provider")
-    escrow = tx.payload.get("escrow")
-    terms = tx.payload.get("terms", {})
-    if not contract_id or not provider:
-        raise InvalidTransactionError(f"bad contract payload {tx.payload!r}")
-    if not isinstance(escrow, (int, float)) or escrow <= 0:
-        raise InvalidTransactionError(f"contract escrow must be positive: {escrow!r}")
-    existing = state.contracts.get(contract_id)
-    if existing is not None and not existing.closed:
-        raise InvalidTransactionError(f"contract {contract_id!r} already open")
-    state._debit(tx.sender, float(escrow))
-    state.contracts[contract_id] = ContractEntry(
-        contract_id=contract_id,
-        consumer=tx.sender,
-        provider=provider,
-        escrow=float(escrow),
-        terms=dict(terms),
-        opened_height=height,
-    )
-
-
-def _apply_contract_close(state, tx, height, rules) -> None:
-    contract_id = tx.payload.get("contract_id")
-    provider_share = tx.payload.get("provider_share")
-    contract = state.contracts.get(contract_id or "")
-    if contract is None or contract.closed:
-        raise InvalidTransactionError(f"no open contract {contract_id!r}")
-    if tx.sender not in (contract.consumer, contract.provider):
-        raise InvalidTransactionError(
-            "only a contract party may close the contract"
-        )
-    if (
-        not isinstance(provider_share, (int, float))
-        or not 0 <= provider_share <= 1
-    ):
-        raise InvalidTransactionError(
-            f"provider_share must be in [0,1]: {provider_share!r}"
-        )
-    # The party closing unilaterally may only favour the *other* party with
-    # the flexible share; favouring yourself needs the counterparty's signed
-    # consent, which the storage layer arranges off-chain.  We enforce the
-    # cheap on-chain half: the consumer may grant any share to the provider,
-    # the provider may only refund (share 0 for itself means... ) —
-    # simplification: the consumer sets the split; the provider may close
-    # only with the full escrow refunded to the consumer (abandon).
-    if tx.sender == contract.provider and provider_share > 0:
-        raise InvalidTransactionError(
-            "provider may only close a contract by refunding the consumer"
-        )
-    payout = contract.escrow * float(provider_share)
-    state._credit(contract.provider, payout)
-    state._credit(contract.consumer, contract.escrow - payout)
-    state.contracts[contract_id] = replace(contract, closed=True, escrow=0.0)
-
-
-def _apply_data_anchor(state, tx, height, rules) -> None:
-    digest = tx.payload.get("digest")
-    if not digest or not isinstance(digest, str):
-        raise InvalidTransactionError("data anchor requires a digest string")
-    # Anchors are pure commitments; nothing in state changes beyond the fee.
-
-
 _HANDLERS = {
     TxKind.PAY: _apply_pay,
     TxKind.NAME_REGISTER: _apply_name_register,
     TxKind.NAME_UPDATE: _apply_name_update,
     TxKind.NAME_TRANSFER: _apply_name_transfer,
     TxKind.NAME_RENEW: _apply_name_renew,
-    TxKind.CONTRACT_OPEN: _apply_contract_open,
-    TxKind.CONTRACT_CLOSE: _apply_contract_close,
-    TxKind.DATA_ANCHOR: _apply_data_anchor,
 }

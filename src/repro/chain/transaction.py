@@ -3,9 +3,8 @@
 A transaction is a signed, replay-protected operation against the ledger
 state machine.  The ``kind`` field selects the state-transition rule (see
 :mod:`repro.chain.ledger`); ``payload`` carries rule-specific fields.  This
-one transaction type serves every blockchain use the paper surveys:
-payments, name operations (Namecoin/Blockstack-style, §3.1), and storage
-contracts (Sia/Filecoin-style, §3.3).
+one transaction type serves payments and name operations
+(Namecoin/Blockstack-style, §3.1).
 """
 
 from __future__ import annotations
@@ -31,9 +30,6 @@ class TxKind:
     NAME_UPDATE = "name_update"
     NAME_TRANSFER = "name_transfer"
     NAME_RENEW = "name_renew"
-    CONTRACT_OPEN = "contract_open"
-    CONTRACT_CLOSE = "contract_close"
-    DATA_ANCHOR = "data_anchor"
 
     ALL = (
         COINBASE,
@@ -42,9 +38,6 @@ class TxKind:
         NAME_UPDATE,
         NAME_TRANSFER,
         NAME_RENEW,
-        CONTRACT_OPEN,
-        CONTRACT_CLOSE,
-        DATA_ANCHOR,
     )
 
 
@@ -86,7 +79,7 @@ class Transaction:
         and covering the body (coinbase excepted)."""
         if self.kind not in TxKind.ALL:
             raise InvalidTransactionError(f"unknown tx kind {self.kind!r}")
-        if self.fee < 0:
+        if not self.fee >= 0:
             raise InvalidTransactionError(f"negative fee {self.fee}")
         if self.is_coinbase:
             if self.sender != COINBASE_SENDER:

@@ -1,7 +1,7 @@
-"""Cryptographic substrate: real hashing/Merkle trees, simulated signatures,
-and proof-of-work (real puzzle + analytic mining race)."""
+"""Cryptographic substrate: real hashing and Merkle trees, and simulated
+signatures."""
 
-from repro.crypto.hashing import hash_int, hash_obj, sha256, sha256_hex, truncated_int
+from repro.crypto.hashing import hash_int, hash_obj, sha256, sha256_hex
 from repro.crypto.keys import (
     KeyPair,
     Signature,
@@ -10,14 +10,12 @@ from repro.crypto.keys import (
     verify,
 )
 from repro.crypto.merkle import MerkleProof, MerkleTree, merkle_root
-from repro.crypto.pow import MiningRace, PowPuzzle, expected_block_time
 
 __all__ = [
     "sha256",
     "sha256_hex",
     "hash_obj",
     "hash_int",
-    "truncated_int",
     "KeyPair",
     "Signature",
     "generate_keypair",
@@ -26,7 +24,4 @@ __all__ = [
     "MerkleTree",
     "MerkleProof",
     "merkle_root",
-    "PowPuzzle",
-    "MiningRace",
-    "expected_block_time",
 ]

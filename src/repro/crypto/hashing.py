@@ -12,7 +12,7 @@ import hashlib
 import json
 from typing import Any
 
-__all__ = ["sha256", "sha256_hex", "hash_obj", "hash_int", "truncated_int"]
+__all__ = ["sha256", "sha256_hex", "hash_obj", "hash_int"]
 
 
 def sha256(data: bytes) -> bytes:
@@ -52,9 +52,3 @@ def hash_int(obj: Any, bits: int = 256) -> int:
     digest = sha256(_canonical(obj))
     return int.from_bytes(digest, "big") >> (256 - bits)
 
-
-def truncated_int(hex_digest: str, bits: int) -> int:
-    """Interpret the top ``bits`` of a hex digest as an integer."""
-    if bits <= 0 or bits > 256:
-        raise ValueError(f"bits must be in (0, 256], got {bits}")
-    return int(hex_digest, 16) >> (256 - bits)

@@ -13,14 +13,10 @@ cost model makes visibly expensive) — relays live in that gap:
   forwarded request leaks one detection opportunity, so relays are a
   wasting asset and discovery of fresh ones is what keeps reachability
   up.
-* :func:`publish_relay_directory` / :func:`discover_relays` — DHT-based
-  discovery: the volunteer directory lives under a well-known key in
-  the Kademlia overlay, fetched by inside clients with plain
-  (unfingerprinted) DHT lookups.
-* :class:`RelayNode.announce` / gossip learning — push-based discovery:
-  relays broadcast ``relay.announce`` to known peers; inside listeners
-  learn addresses without a DHT round trip, but the announcement itself
-  crosses the border carrying the fingerprint (a realistic leak).
+* :meth:`RelayNode.announce` — gossip discovery: relays broadcast
+  ``relay.announce`` to known peers and inside listeners learn their
+  addresses, but the announcement itself crosses the border carrying
+  the fingerprint (a realistic leak).
 * :class:`CircumventionClient` — an inside client that tries the direct
   path first and then rotates deterministically through its known
   relays, so scenarios can measure reachability over time as the censor
@@ -31,29 +27,18 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
 
-from repro.errors import (
-    LookupFailedError,
-    NetworkError,
-    RemoteError,
-    RpcTimeoutError,
-)
+from repro.errors import NetworkError, RemoteError, RpcTimeoutError
 from repro.net.transport import Network
 
 __all__ = [
-    "RELAY_DIRECTORY_KEY",
     "RELAY_METHOD_PREFIX",
     "CircumventionClient",
     "RelayNode",
-    "discover_relays",
-    "publish_relay_directory",
 ]
 
 #: Prefix shared by every relay protocol method — and therefore the
 #: fingerprint censor campaigns watch for.
 RELAY_METHOD_PREFIX = "relay."
-
-#: Well-known DHT key the volunteer relay directory is published under.
-RELAY_DIRECTORY_KEY = "relay.directory"
 
 
 class RelayNode:
@@ -105,35 +90,6 @@ class RelayNode:
         return self.network.broadcast(
             self.node.node_id, peer_ids, "relay.announce", self.node.node_id
         )
-
-
-def publish_relay_directory(dht_node: Any, relay_ids: Iterable[str],
-                            ttl: Optional[float] = None) -> Generator:
-    """Publish the volunteer directory into the DHT (yieldable process).
-
-    ``dht_node`` is a :class:`repro.dht.KademliaNode`; the directory is
-    a plain tuple of relay node ids under :data:`RELAY_DIRECTORY_KEY`.
-    Returns the number of replicas acknowledged.
-    """
-    acked = yield from dht_node.put(
-        RELAY_DIRECTORY_KEY, tuple(relay_ids), ttl
-    )
-    return acked
-
-
-def discover_relays(dht_node: Any) -> Generator:
-    """Fetch the volunteer directory from the DHT (yieldable process).
-
-    Returns a tuple of relay ids, empty when no directory is published
-    or reachable.  The lookup uses ordinary ``dht.*`` methods, so it
-    carries no relay fingerprint — pull-based discovery is the stealthy
-    path.
-    """
-    try:
-        value = yield from dht_node.get(RELAY_DIRECTORY_KEY)
-    except (LookupFailedError, RpcTimeoutError, RemoteError):
-        return ()
-    return tuple(value)
 
 
 class CircumventionClient:

@@ -41,11 +41,6 @@ from repro.groupcomm.privacy import (
     audit_social_p2p,
     exposure_score,
 )
-from repro.groupcomm.repudiation import (
-    OtrConversation,
-    OtrMessage,
-    SignedConversation,
-)
 from repro.groupcomm.social_p2p import SocialP2PNetwork
 
 __all__ = [
@@ -69,9 +64,6 @@ __all__ = [
     "ManualQueue",
     "make_strategy",
     "SocialP2PNetwork",
-    "OtrConversation",
-    "OtrMessage",
-    "SignedConversation",
     "RatchetSession",
     "Ciphertext",
     "SessionCompromise",

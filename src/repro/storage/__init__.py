@@ -1,14 +1,12 @@
 """Decentralized storage (§3.3, Table 2): blobs, Reed-Solomon erasure
 coding, sealed replicas, storage providers with attacker modes, the four
-proof games, deals/payment rails, the marketplace audit loop, and
-replica maintenance under churn."""
+proof games, deals and their escrow ledger, the marketplace audit loop,
+and replica maintenance under churn."""
 
-from repro.storage.bitswap import BitswapLedger, BitswapPeer
 from repro.storage.blob import DataBlob, make_random_blob
-from repro.storage.contracts import ChainRail, DealState, DirectLedger, StorageDeal
+from repro.storage.contracts import DealState, DirectLedger, StorageDeal
 from repro.storage.erasure import ErasureCode, Shard
 from repro.storage.erasure_store import ErasureBlobStore, ShardHealth
-from repro.storage.guerrilla import CloudProvider, EncryptedCloudClient
 from repro.storage.marketplace import ProofKind, StorageMarketplace
 from repro.storage.proofs import (
     ChallengeOutcome,
@@ -29,10 +27,6 @@ from repro.storage.systems import (
 )
 
 __all__ = [
-    "BitswapLedger",
-    "BitswapPeer",
-    "CloudProvider",
-    "EncryptedCloudClient",
     "DataBlob",
     "make_random_blob",
     "ErasureCode",
@@ -52,7 +46,6 @@ __all__ = [
     "StorageDeal",
     "DealState",
     "DirectLedger",
-    "ChainRail",
     "ProofKind",
     "StorageMarketplace",
     "ReplicatedBlobStore",

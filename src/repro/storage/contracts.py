@@ -1,25 +1,23 @@
-"""Storage deals and payment rails.
+"""Storage deals and the ledger that escrows their payments.
 
 The paper's Table 2 observation: most decentralized storage systems use a
 blockchain to record contracts and move payments, while IPFS/MaidSafe use
-direct pairwise accounting.  Both rails are implemented behind one
-interface so the marketplace and the incentive experiments can swap them:
-
-* :class:`DirectLedger` — instant pairwise balances (Bitswap-ledger-like);
-* :class:`ChainRail` — escrowed on-chain contracts
-  (:mod:`repro.chain.ledger`'s CONTRACT_OPEN/CLOSE), paying the
-  confirmation-latency cost the paper attributes to blockchains.
+direct pairwise accounting.  The marketplace pays through
+:class:`DirectLedger`, instant pairwise balances with one escrow per deal;
+which payment rail each surveyed system uses is a Table 2 column
+(:mod:`repro.storage.systems`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, Optional
+import math
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.errors import ContractError
 from repro.storage.proofs import Commitment
 
-__all__ = ["DealState", "StorageDeal", "DirectLedger", "ChainRail"]
+__all__ = ["DealState", "StorageDeal", "DirectLedger"]
 
 
 class DealState:
@@ -61,8 +59,8 @@ class DirectLedger:
         self._escrow: Dict[str, float] = {}
 
     def credit(self, account: str, amount: float) -> None:
-        if amount < 0:
-            raise ContractError(f"cannot credit negative amount {amount}")
+        if not 0 <= amount < math.inf:
+            raise ContractError(f"cannot credit amount {amount}")
         self._balances[account] = self._balances.get(account, 0.0) + amount
 
     def balance(self, account: str) -> float:
@@ -71,11 +69,10 @@ class DirectLedger:
     def escrowed(self, deal_id: str) -> float:
         return self._escrow.get(deal_id, 0.0)
 
-    def open_escrow(
-        self, deal_id: str, consumer: str, amount: float, provider: str = ""
-    ) -> Generator:
-        """Lock consumer funds for a deal (instant; generator for rail
-        interface uniformity).  ``provider`` is unused on this rail."""
+    def open_escrow(self, deal_id: str, consumer: str, amount: float) -> None:
+        """Lock consumer funds for a deal."""
+        if not amount >= 0:
+            raise ContractError(f"cannot escrow amount {amount}")
         if self._balances.get(consumer, 0.0) < amount:
             raise ContractError(
                 f"{consumer!r} cannot escrow {amount}: balance"
@@ -85,9 +82,6 @@ class DirectLedger:
             raise ContractError(f"escrow for {deal_id!r} already open")
         self._balances[consumer] -= amount
         self._escrow[deal_id] = amount
-        if False:  # pragma: no cover - generator-shape marker
-            yield
-        return deal_id
 
     def pay_from_escrow(self, deal_id: str, provider: str, amount: float) -> None:
         held = self._escrow.get(deal_id, 0.0)
@@ -95,8 +89,8 @@ class DirectLedger:
             raise ContractError(
                 f"escrow {deal_id!r} holds {held}, cannot pay {amount}"
             )
+        self.credit(provider, amount)  # raises on a bad amount, escrow untouched
         self._escrow[deal_id] = held - amount
-        self.credit(provider, amount)
 
     def refund_escrow(self, deal_id: str, consumer: str) -> float:
         held = self._escrow.pop(deal_id, 0.0)
@@ -105,84 +99,3 @@ class DirectLedger:
 
     def total_supply(self) -> float:
         return sum(self._balances.values()) + sum(self._escrow.values())
-
-
-class ChainRail:
-    """Escrow and settlement on the simulated blockchain.
-
-    Slower (confirmation latency) but auditable by every participant —
-    the trade Table 2's blockchain-using systems make.
-    """
-
-    def __init__(self, chain_network, reference, keypairs: Dict[str, Any],
-                 confirmations: int = 3, fee: float = 0.05):
-        self.chain = chain_network
-        self.reference = reference
-        self.keypairs = dict(keypairs)  # account name -> KeyPair
-        self.confirmations = confirmations
-        self.fee = fee
-
-    def balance(self, account: str) -> float:
-        keypair = self._keypair(account)
-        return self.reference.chain.state_at().balance(keypair.public_key)
-
-    def _keypair(self, account: str):
-        keypair = self.keypairs.get(account)
-        if keypair is None:
-            raise ContractError(f"no keypair registered for {account!r}")
-        return keypair
-
-    def _submit_and_wait(self, tx) -> Generator:
-        from repro.chain.transaction import Transaction  # typing only
-
-        self.chain.submit_transaction(tx, origin=self.reference.name)
-        poll = self.chain.params.target_block_interval / 4
-        deadline = self.reference.chain.height + 100
-        while True:
-            yield poll
-            height = self.reference.chain.find_transaction(tx.txid)
-            if height is not None:
-                if self.reference.chain.height - height + 1 >= self.confirmations:
-                    return height
-            elif self.reference.chain.height > deadline:
-                raise ContractError(f"tx {tx.txid[:12]} never confirmed")
-
-    def open_escrow(
-        self, deal_id: str, consumer: str, amount: float, provider: str = ""
-    ) -> Generator:
-        from repro.chain.transaction import TxKind, make_transaction
-
-        keypair = self._keypair(consumer)
-        provider_keypair = self._keypair(provider) if provider else keypair
-        state = self.reference.chain.state_at()
-        tx = make_transaction(
-            keypair,
-            TxKind.CONTRACT_OPEN,
-            {
-                "contract_id": deal_id,
-                "provider": provider_keypair.public_key,
-                "escrow": amount,
-                "terms": {"deal_id": deal_id},
-            },
-            state.next_nonce(keypair.public_key),
-            fee=self.fee,
-        )
-        yield from self._submit_and_wait(tx)
-        return deal_id
-
-    def close_with_share(
-        self, deal_id: str, consumer: str, provider_share: float
-    ) -> Generator:
-        from repro.chain.transaction import TxKind, make_transaction
-
-        keypair = self._keypair(consumer)
-        state = self.reference.chain.state_at()
-        tx = make_transaction(
-            keypair,
-            TxKind.CONTRACT_CLOSE,
-            {"contract_id": deal_id, "provider_share": provider_share},
-            state.next_nonce(keypair.public_key),
-            fee=self.fee,
-        )
-        yield from self._submit_and_wait(tx)
-        return deal_id

@@ -165,23 +165,18 @@ class StorageMarketplace:
             epochs_total=epochs,
             proof_kind=proof_kind,
         )
-        yield from self.ledger.open_escrow(
-            deal.deal_id, consumer, deal.total_price, provider=provider.node_id
-        )
+        self.ledger.open_escrow(deal.deal_id, consumer, deal.total_price)
         self._deals[deal.deal_id] = deal
         self.counters.increment("deals_opened")
         return deal
 
-    def register_external_deal(self, deal: StorageDeal) -> Generator:
+    def register_external_deal(self, deal: StorageDeal) -> StorageDeal:
         """Admit a deal whose data placement happened out of band (e.g. a
         sealed-replica deal where the provider claims storage it does not
         honestly hold — attack experiments build these)."""
         if deal.deal_id in self._deals:
             raise ContractError(f"deal {deal.deal_id!r} already registered")
-        yield from self.ledger.open_escrow(
-            deal.deal_id, deal.consumer, deal.total_price,
-            provider=deal.provider_id,
-        )
+        self.ledger.open_escrow(deal.deal_id, deal.consumer, deal.total_price)
         self._deals[deal.deal_id] = deal
         self.counters.increment("deals_opened")
         return deal

@@ -34,7 +34,6 @@ class StorageSystemProfile:
     blockchain_usage: str
     incentive_scheme: str
     proof_kind: str           # which audit game models the incentive
-    uses_chain_rail: bool     # contracts/payments on chain vs direct ledger
     notes: str = ""
 
     def __post_init__(self) -> None:
@@ -50,7 +49,6 @@ TABLE2_SYSTEMS: Tuple[StorageSystemProfile, ...] = (
         blockchain_usage=BlockchainUsage.NONE,
         incentive_scheme="Bitswap Ledgers",
         proof_kind=ProofKind.NONE,
-        uses_chain_rail=False,
         notes="Pairwise barter accounting; no global audits",
     ),
     StorageSystemProfile(
@@ -58,7 +56,6 @@ TABLE2_SYSTEMS: Tuple[StorageSystemProfile, ...] = (
         blockchain_usage=BlockchainUsage.NONE,
         incentive_scheme="Proof-of-resource / Distributed transaction",
         proof_kind=ProofKind.STORAGE,
-        uses_chain_rail=False,
         notes="Resource proofs without a global chain",
     ),
     StorageSystemProfile(
@@ -66,7 +63,6 @@ TABLE2_SYSTEMS: Tuple[StorageSystemProfile, ...] = (
         blockchain_usage=BlockchainUsage.CONTRACTS,
         incentive_scheme="Proof-of-storage",
         proof_kind=ProofKind.STORAGE,
-        uses_chain_rail=True,
         notes="File contracts recorded on its blockchain",
     ),
     StorageSystemProfile(
@@ -74,7 +70,6 @@ TABLE2_SYSTEMS: Tuple[StorageSystemProfile, ...] = (
         blockchain_usage=BlockchainUsage.PAYMENTS + " (storjcoin)",
         incentive_scheme="Proof-of-retrievability",
         proof_kind=ProofKind.RETRIEVABILITY,
-        uses_chain_rail=True,
         notes="Audits sample chunks; payments in storjcoin",
     ),
     StorageSystemProfile(
@@ -82,7 +77,6 @@ TABLE2_SYSTEMS: Tuple[StorageSystemProfile, ...] = (
         blockchain_usage=BlockchainUsage.FULL + " (Ethereum)",
         incentive_scheme="Proof-of-storage: SWEAR",
         proof_kind=ProofKind.STORAGE,
-        uses_chain_rail=True,
         notes="Ethereum for name resolution, payments, insurance",
     ),
     StorageSystemProfile(
@@ -90,7 +84,6 @@ TABLE2_SYSTEMS: Tuple[StorageSystemProfile, ...] = (
         blockchain_usage=BlockchainUsage.PAYMENTS + " (filecoin)",
         incentive_scheme="Proof-of-replication / Proof-of-spacetime / Proof-of-work",
         proof_kind=ProofKind.REPLICATION,
-        uses_chain_rail=True,
         notes="Sealed replicas audited under deadlines over time",
     ),
     StorageSystemProfile(
@@ -98,7 +91,6 @@ TABLE2_SYSTEMS: Tuple[StorageSystemProfile, ...] = (
         blockchain_usage=BlockchainUsage.NAME_BINDING,
         incentive_scheme="N/A",
         proof_kind=ProofKind.NONE,
-        uses_chain_rail=True,
         notes="Storage delegated to user-chosen backends; chain only names",
     ),
 )

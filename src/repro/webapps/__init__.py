@@ -1,17 +1,15 @@
 """Hostless web applications (§3.4): signed site bundles, peer discovery
-via tracker or DHT, and visitor-seeded swarms."""
+via a tracker, and visitor-seeded swarms."""
 
 from repro.webapps.site import HostlessSite, SiteBundle, SiteManifest
 from repro.webapps.swarm import SiteSwarm, VisitorProcess, VisitorStats
-from repro.webapps.tracker import DhtPeerDirectory, ReplicatedTracker, Tracker
+from repro.webapps.tracker import Tracker
 
 __all__ = [
     "HostlessSite",
     "SiteBundle",
     "SiteManifest",
     "Tracker",
-    "ReplicatedTracker",
-    "DhtPeerDirectory",
     "SiteSwarm",
     "VisitorProcess",
     "VisitorStats",

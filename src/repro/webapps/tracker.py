@@ -1,22 +1,19 @@
-"""Peer discovery for site swarms: a tracker, plus a DHT-backed variant.
+"""Peer discovery for site swarms: a classic tracker.
 
-ZeroNet looks site addresses up "on trackers or DHTs" (§3.4); both are
-provided.  The tracker is simple and centralized (a single point of
-failure the tests exercise); the DHT variant stores the seeder list under
-the site address in a Kademlia overlay.
+ZeroNet looks site addresses up "on trackers or DHTs" (§3.4); the swarm
+here uses a tracker, which is simple and centralized (a single point of
+failure the tests exercise).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Generator, List, Optional, Set
+from typing import Dict, Generator, List, Set
 
-from repro.dht.kademlia import KademliaNode
-from repro.errors import LookupFailedError, RemoteError, RpcTimeoutError, WebAppError
 from repro.net.node import NodeClass
 from repro.net.transport import Network
 
-__all__ = ["Tracker", "ReplicatedTracker", "DhtPeerDirectory"]
+__all__ = ["Tracker"]
 
 
 class Tracker:
@@ -68,155 +65,3 @@ class Tracker:
         )
         return peers
 
-
-class ReplicatedTracker:
-    """A tracker federation: k tracker replicas kept consistent by
-    anti-entropy, with client-side failover.
-
-    Addresses the single point of failure the plain :class:`Tracker`
-    exhibits (and the webapp tests demonstrate) — the §5.1 agenda item
-    "eliminating single points of failure in federated approaches",
-    applied to peer discovery.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        streams,
-        tracker_ids: Optional[List[str]] = None,
-        gossip_interval: float = 5.0,
-    ):
-        from repro.gossip.antientropy import AntiEntropyNode
-
-        self.network = network
-        self.tracker_ids = list(
-            tracker_ids if tracker_ids is not None else ["trk0", "trk1", "trk2"]
-        )
-        if not self.tracker_ids:
-            raise WebAppError("need at least one tracker id")
-        self._replicas: Dict[str, "AntiEntropyNode"] = {}
-        for tracker_id in self.tracker_ids:
-            node = (
-                network.node(tracker_id)
-                if network.has_node(tracker_id)
-                else network.create_node(tracker_id, node_class=NodeClass.HOME_SERVER)
-            )
-            replica = AntiEntropyNode(
-                network, node, self.tracker_ids, streams,
-                interval=gossip_interval,
-            )
-            self._replicas[tracker_id] = replica
-            node.register_handler(
-                "tracker.announce", self._make_announce(tracker_id)
-            )
-            node.register_handler(
-                "tracker.get_peers", self._make_get_peers(tracker_id)
-            )
-            node.register_handler(
-                "tracker.depart", self._make_depart(tracker_id)
-            )
-
-    def start_replication(self) -> None:
-        for replica in self._replicas.values():
-            replica.start()
-
-    def stop_replication(self) -> None:
-        for replica in self._replicas.values():
-            replica.stop()
-
-    # -- handlers (per replica) ---------------------------------------------
-
-    def _peers_at(self, tracker_id: str, site: str) -> Set[str]:
-        value = self._replicas[tracker_id].store.get(f"peers:{site}")
-        return set(value) if value else set()
-
-    def _make_announce(self, tracker_id: str):
-        def handler(node, payload: dict, sender: str) -> int:
-            site, peer = payload["site"], payload["peer"]
-            peers = self._peers_at(tracker_id, site) | {peer}
-            self._replicas[tracker_id].write(f"peers:{site}", sorted(peers))
-            return len(peers)
-
-        return handler
-
-    def _make_depart(self, tracker_id: str):
-        def handler(node, payload: dict, sender: str) -> bool:
-            site, peer = payload["site"], payload["peer"]
-            peers = self._peers_at(tracker_id, site) - {peer}
-            self._replicas[tracker_id].write(f"peers:{site}", sorted(peers))
-            return True
-
-        return handler
-
-    def _make_get_peers(self, tracker_id: str):
-        def handler(node, payload: dict, sender: str) -> List[str]:
-            return sorted(self._peers_at(tracker_id, payload["site"]))
-
-        return handler
-
-    # -- client side with failover ---------------------------------------------
-
-    def _call(self, requester: str, method: str, payload: dict) -> Generator:
-        last_error: Optional[Exception] = None
-        for tracker_id in self.tracker_ids:
-            try:
-                result = yield from self.network.rpc(
-                    requester, tracker_id, method, payload, timeout=5.0
-                )
-                return result
-            except (RpcTimeoutError, RemoteError) as exc:
-                last_error = exc
-                continue
-        raise WebAppError("every tracker replica is unreachable") from last_error
-
-    def announce(self, peer: str, site: str) -> Generator:
-        result = yield from self._call(
-            peer, "tracker.announce", {"site": site, "peer": peer}
-        )
-        return result
-
-    def depart(self, peer: str, site: str) -> Generator:
-        result = yield from self._call(
-            peer, "tracker.depart", {"site": site, "peer": peer}
-        )
-        return result
-
-    def get_peers(self, requester: str, site: str) -> Generator:
-        result = yield from self._call(
-            requester, "tracker.get_peers", {"site": site}
-        )
-        return result
-
-
-class DhtPeerDirectory:
-    """Seeder lists stored in a Kademlia overlay (no single tracker).
-
-    Each announce re-publishes the full seeder list the announcer knows —
-    a simplification of ZeroNet's per-peer announcements that preserves
-    the property being tested: discovery survives any single node's death.
-    """
-
-    def __init__(self, dht_node: KademliaNode):
-        self.dht = dht_node
-
-    @staticmethod
-    def _key(site: str) -> str:
-        return f"site-peers:{site}"
-
-    def announce(self, peer: str, site: str) -> Generator:
-        current: List[str] = []
-        try:
-            current = yield from self.dht.get(self._key(site))
-        except LookupFailedError:
-            current = []
-        if peer not in current:
-            current = sorted(set(current) | {peer})
-        acked = yield from self.dht.put(self._key(site), current)
-        return acked
-
-    def get_peers(self, site: str) -> Generator:
-        try:
-            peers = yield from self.dht.get(self._key(site))
-        except LookupFailedError:
-            return []
-        return list(peers)

@@ -4,9 +4,6 @@ import pytest
 
 from repro.crypto import (
     MerkleTree,
-    MiningRace,
-    PowPuzzle,
-    expected_block_time,
     generate_keypair,
     hash_int,
     hash_obj,
@@ -17,7 +14,6 @@ from repro.crypto import (
     verify,
 )
 from repro.errors import CryptoError, InvalidSignatureError
-from repro.sim import RngStreams
 
 
 class TestHashing:
@@ -134,47 +130,3 @@ class TestMerkle:
         tree = MerkleTree([b"a", b"b"])
         with pytest.raises(CryptoError):
             tree.proof(2)
-
-
-class TestPow:
-    def test_puzzle_solve_and_verify(self):
-        puzzle = PowPuzzle("block-data", target_bits=8)
-        nonce = puzzle.solve()
-        assert puzzle.verify(nonce)
-
-    def test_harder_puzzle_unsolved_nonce_fails(self):
-        puzzle = PowPuzzle("block-data", target_bits=8)
-        nonce = puzzle.solve()
-        assert not PowPuzzle("other-data", target_bits=64).verify(nonce)
-
-    def test_zero_bits_always_satisfied(self):
-        puzzle = PowPuzzle("x", target_bits=0)
-        assert puzzle.verify(0)
-
-    def test_expected_block_time(self):
-        assert expected_block_time(100.0, 600.0) == 6.0
-        with pytest.raises(CryptoError):
-            expected_block_time(0.0, 600.0)
-
-    def test_mining_race_winner_distribution(self):
-        streams = RngStreams(7)
-        race = MiningRace(streams)
-        wins = {"big": 0, "small": 0}
-        for _ in range(2000):
-            winner, dt = race.sample_block({"big": 9.0, "small": 1.0}, 100.0)
-            wins[winner] += 1
-            assert dt > 0
-        share = wins["big"] / 2000
-        assert 0.85 < share < 0.95  # expected 0.9
-
-    def test_mining_race_time_scales_with_difficulty(self):
-        streams = RngStreams(7)
-        race = MiningRace(streams)
-        times_easy = [race.sample_block({"m": 1.0}, 10.0)[1] for _ in range(500)]
-        times_hard = [race.sample_block({"m": 1.0}, 1000.0)[1] for _ in range(500)]
-        assert sum(times_hard) / sum(times_easy) > 50  # expect ~100x
-
-    def test_mining_race_requires_positive_hashrate(self):
-        race = MiningRace(RngStreams(1))
-        with pytest.raises(CryptoError):
-            race.sample_block({"m": 0.0}, 100.0)

@@ -1,15 +1,8 @@
-"""Relay forwarding, discovery, and circumvention under a censor."""
+"""Relay forwarding, gossip discovery, and circumvention under a censor."""
 
-from repro.dht import DhtConfig, build_overlay
 from repro.errors import RpcTimeoutError
 from repro.faults import Censor, FaultInjector, FaultPlan
-from repro.gossip import (
-    RELAY_DIRECTORY_KEY,
-    CircumventionClient,
-    RelayNode,
-    discover_relays,
-    publish_relay_directory,
-)
+from repro.gossip import CircumventionClient, RelayNode
 from repro.net import ConstantLatency, Network
 from repro.sim import RngStreams, Simulator
 
@@ -119,38 +112,6 @@ class TestRelayForwarding:
         sim.run(until=1.0)
         assert sent == 2
         assert client.relays == ["relay0"]
-
-
-class TestDhtDiscovery:
-    def test_publish_and_discover_roundtrip(self):
-        sim = Simulator()
-        network = Network(sim, RngStreams(3), latency=ConstantLatency(0.01))
-        overlay = build_overlay(
-            network, [f"n{i}" for i in range(12)],
-            DhtConfig(k=8, alpha=3, rpc_timeout=1.0))
-
-        def scenario():
-            acked = yield from publish_relay_directory(
-                overlay["n0"], ["relay0", "relay1"])
-            found = yield from discover_relays(overlay["n7"])
-            return acked, found
-
-        acked, found = sim.run_process(scenario())
-        assert acked > 0
-        assert found == ("relay0", "relay1")
-
-    def test_discover_empty_when_unpublished(self):
-        sim = Simulator()
-        network = Network(sim, RngStreams(3), latency=ConstantLatency(0.01))
-        overlay = build_overlay(
-            network, [f"n{i}" for i in range(8)],
-            DhtConfig(k=8, alpha=3, rpc_timeout=1.0))
-
-        def scenario():
-            found = yield from discover_relays(overlay["n2"])
-            return found
-
-        assert sim.run_process(scenario()) == ()
 
 
 class TestDetectionLoop:

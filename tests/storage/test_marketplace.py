@@ -1,4 +1,4 @@
-"""Tests for deals, payment rails, the marketplace loop, and Table 2 profiles."""
+"""Tests for deals, the escrow ledger, the marketplace loop, and Table 2 profiles."""
 
 import pytest
 
@@ -39,8 +39,7 @@ class TestDirectLedger:
     def test_escrow_lifecycle(self):
         ledger = DirectLedger()
         ledger.credit("alice", 100.0)
-        sim = Simulator()
-        sim.run_process(ledger.open_escrow("d1", "alice", 30.0))
+        ledger.open_escrow("d1", "alice", 30.0)
         assert ledger.balance("alice") == pytest.approx(70.0)
         assert ledger.escrowed("d1") == pytest.approx(30.0)
         ledger.pay_from_escrow("d1", "bob", 10.0)
@@ -51,25 +50,39 @@ class TestDirectLedger:
 
     def test_insufficient_balance_rejected(self):
         ledger = DirectLedger()
-        sim = Simulator()
         with pytest.raises(ContractError):
-            sim.run_process(ledger.open_escrow("d1", "poor", 5.0))
+            ledger.open_escrow("d1", "poor", 5.0)
 
     def test_double_escrow_rejected(self):
         ledger = DirectLedger()
         ledger.credit("a", 100.0)
-        sim = Simulator()
-        sim.run_process(ledger.open_escrow("d1", "a", 10.0))
+        ledger.open_escrow("d1", "a", 10.0)
         with pytest.raises(ContractError):
-            sim.run_process(ledger.open_escrow("d1", "a", 10.0))
+            ledger.open_escrow("d1", "a", 10.0)
 
     def test_overpay_from_escrow_rejected(self):
         ledger = DirectLedger()
         ledger.credit("a", 100.0)
-        sim = Simulator()
-        sim.run_process(ledger.open_escrow("d1", "a", 10.0))
+        ledger.open_escrow("d1", "a", 10.0)
         with pytest.raises(ContractError):
             ledger.pay_from_escrow("d1", "b", 11.0)
+
+    @pytest.mark.parametrize("amount", [-5.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("call", ["credit", "open_escrow", "pay_from_escrow"])
+    def test_rejected_amount_moves_no_money(self, call, amount):
+        ledger = DirectLedger()
+        ledger.credit("a", 100.0)
+        ledger.open_escrow("d1", "a", 10.0)
+        args = {
+            "credit": ("b", amount),
+            "open_escrow": ("d2", "a", amount),
+            "pay_from_escrow": ("d1", "b", amount),
+        }[call]
+        with pytest.raises(ContractError):
+            getattr(ledger, call)(*args)
+        assert ledger.total_supply() == 100.0
+        assert ledger.escrowed("d1") == 10.0
+        assert ledger.escrowed("d2") == 0.0
 
 
 class TestMarketplace:

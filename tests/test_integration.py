@@ -4,16 +4,14 @@ These wire several subsystems together the way the surveyed systems do:
 
 * a Blockstack-style stack: name on the chain -> zone file off-chain ->
   audited storage provider -> retrieval starting from just the name;
-* a ZeroNet-style stack: site discovery through the Kademlia DHT (no
-  tracker) -> swarm fetch -> verification;
-* a full federated community under churn with anti-entropy repair.
+* a full federated community under churn with anti-entropy repair;
+* a ZeroNet-style site whose address receives payments on the chain.
 """
 
 import pytest
 
 from repro.chain import BlockchainNetwork, ConsensusParams, TxKind, make_transaction
 from repro.crypto import generate_keypair
-from repro.dht import DhtConfig, build_overlay
 from repro.errors import NameNotFoundError
 from repro.gossip import AntiEntropyNode
 from repro.naming import BlockchainNameRegistry, NameBinding, ZoneFile
@@ -25,7 +23,7 @@ from repro.storage import (
     StorageProvider,
     StorageVerifier,
 )
-from repro.webapps import DhtPeerDirectory, HostlessSite, SiteSwarm, Tracker
+from repro.webapps import HostlessSite
 
 FAST = ConsensusParams(
     target_block_interval=10.0, retarget_interval=50, initial_difficulty=100.0
@@ -95,65 +93,6 @@ class TestBlockstackStyleStack:
         binding = NameBinding("alice.id", alice.public_key, zone_file.digest)
         forged = ZoneFile({"storage_provider": "evil-hub"})
         assert not binding.verify_zone_file(forged)
-
-
-class TestZeroNetStyleStack:
-    """Site discovery via DHT (no tracker), swarm fetch, verification."""
-
-    def test_site_discovered_and_fetched_via_dht(self):
-        sim = Simulator()
-        streams = RngStreams(32)
-        network = Network(sim, streams, latency=ConstantLatency(0.01))
-        overlay = build_overlay(
-            network, [f"peer{i}" for i in range(16)], DhtConfig(k=4, alpha=2)
-        )
-        # A tracker still exists in the swarm object but we point discovery
-        # at the DHT; the tracker node is never consulted.
-        swarm = SiteSwarm(network, Tracker(network))
-
-        site = HostlessSite("dht-discovered-site")
-        site.write_file("index.html", b"<h1>found via kademlia</h1>")
-        bundle = site.publish()
-        address = bundle.manifest.site_address
-
-        author_directory = DhtPeerDirectory(overlay["peer0"])
-        reader_directory = DhtPeerDirectory(overlay["peer9"])
-
-        def scenario():
-            # Author seeds and announces itself in the DHT.
-            yield from swarm.seed("peer0", bundle)
-            yield from author_directory.announce("peer0", address)
-            # Reader discovers seeders from a different DHT node.
-            peers = yield from reader_directory.get_peers(address)
-            assert peers == ["peer0"]
-            fetched = yield from network.rpc(
-                "peer9", peers[0], "site.fetch", {"site": address}
-            )
-            return fetched
-
-        fetched = sim.run_process(scenario())
-        assert fetched.verify()
-        assert fetched.files == bundle.files
-
-    def test_dht_discovery_survives_single_node_death(self):
-        sim = Simulator()
-        streams = RngStreams(33)
-        network = Network(sim, streams, latency=ConstantLatency(0.01))
-        overlay = build_overlay(
-            network, [f"peer{i}" for i in range(16)], DhtConfig(k=4, alpha=2)
-        )
-        directory = DhtPeerDirectory(overlay["peer0"])
-        reader = DhtPeerDirectory(overlay["peer5"])
-
-        def scenario():
-            yield from directory.announce("peer0", "some-site")
-            # Kill a third of the overlay, including nothing specific —
-            # replicas on the k closest nodes keep the record alive.
-            for name in ("peer2", "peer7", "peer11", "peer13"):
-                network.node(name).set_online(False, sim.now)
-            return (yield from reader.get_peers("some-site"))
-
-        assert sim.run_process(scenario()) == ["peer0"]
 
 
 class TestFederationUnderChurn:

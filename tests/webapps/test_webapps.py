@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.dht import DhtConfig, build_overlay
 from repro.errors import WebAppError
 from repro.net import ConstantLatency, Network
 from repro.sim import RngStreams, Simulator
 from repro.webapps import (
-    DhtPeerDirectory,
     HostlessSite,
     SiteBundle,
     SiteSwarm,
@@ -225,70 +223,6 @@ class TestVisitorPopulation:
         sim, streams, network, tracker, swarm = make_env()
         with pytest.raises(WebAppError):
             VisitorProcess(swarm, "x", streams, arrival_rate=0.0, mean_seed_time=1.0)
-
-
-class TestDhtPeerDirectory:
-    def test_announce_and_discover_via_dht(self):
-        sim = Simulator()
-        streams = RngStreams(9)
-        network = Network(sim, streams, latency=ConstantLatency(0.01))
-        overlay = build_overlay(
-            network, [f"n{i}" for i in range(12)], DhtConfig(k=4, alpha=2)
-        )
-        directory = DhtPeerDirectory(overlay["n0"])
-        reader = DhtPeerDirectory(overlay["n5"])
-
-        def scenario():
-            yield from directory.announce("n0", "site-abc")
-            peers = yield from reader.get_peers("site-abc")
-            return peers
-
-        assert sim.run_process(scenario()) == ["n0"]
-
-    def test_unknown_site_empty(self):
-        sim = Simulator()
-        streams = RngStreams(10)
-        network = Network(sim, streams, latency=ConstantLatency(0.01))
-        overlay = build_overlay(
-            network, [f"n{i}" for i in range(8)], DhtConfig(k=4, alpha=2)
-        )
-        directory = DhtPeerDirectory(overlay["n1"])
-
-        def scenario():
-            return (yield from directory.get_peers("ghost-site"))
-
-        assert sim.run_process(scenario()) == []
-
-    def test_double_announce_is_idempotent(self):
-        sim = Simulator()
-        streams = RngStreams(63)
-        network = Network(sim, streams, latency=ConstantLatency(0.01))
-        overlay = build_overlay(
-            network, [f"n{i}" for i in range(10)], DhtConfig(k=4, alpha=2)
-        )
-        directory = DhtPeerDirectory(overlay["n0"])
-
-        def scenario():
-            yield from directory.announce("n0", "site")
-            yield from directory.announce("n0", "site")
-            return (yield from directory.get_peers("site"))
-
-        assert sim.run_process(scenario()) == ["n0"]
-
-    def test_multiple_seeders_accumulate(self):
-        sim = Simulator()
-        streams = RngStreams(64)
-        network = Network(sim, streams, latency=ConstantLatency(0.01))
-        overlay = build_overlay(
-            network, [f"n{i}" for i in range(10)], DhtConfig(k=4, alpha=2)
-        )
-
-        def scenario():
-            yield from DhtPeerDirectory(overlay["n1"]).announce("n1", "site")
-            yield from DhtPeerDirectory(overlay["n2"]).announce("n2", "site")
-            return (yield from DhtPeerDirectory(overlay["n5"]).get_peers("site"))
-
-        assert sim.run_process(scenario()) == ["n1", "n2"]
 
 
 class TestSwarmEdges:
