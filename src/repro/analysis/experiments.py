@@ -401,7 +401,7 @@ def _social_point(
     network = Network(sim, streams, latency=ConstantLatency(0.02))
     rng = streams.stream("analysis.probes")
     graph = small_world(n_users, k=4, rewire_prob=0.2, seed=seed, prefix="u")
-    users = sorted(graph.nodes)
+    users = sorted(graph)
 
     platform = None
     federation = None

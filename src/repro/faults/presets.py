@@ -124,9 +124,9 @@ def _device_flap() -> FaultPlan:
     )
 
 
-#: The censor scenarios' border membership: the ``cn`` region of their
-#: ``isp_tree(4, 2, regions=("cn", "intl"))`` topology (see
-#: :mod:`repro.faults.scenarios`).
+#: The censor scenarios' border membership: the nodes their
+#: ``isp_tree(4, 2, regions=("cn", "intl"))`` topology places in region
+#: ``cn`` (see :mod:`repro.faults.scenarios`).
 CENSOR_INSIDE = (
     "isp0", "isp2", "user0_0", "user0_1", "user2_0", "user2_1",
 )

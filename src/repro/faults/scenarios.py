@@ -578,8 +578,8 @@ def _censor_fabric(
     sim = Simulator()
     streams = RngStreams(seed)
     network = Network(sim, streams)
-    graph = isp_tree(4, 2, regions=("cn", "intl"))
-    for node_id in sorted(graph.nodes):
+    graph, region_of = isp_tree(4, 2, regions=("cn", "intl"))
+    for node_id in sorted(graph):
         network.create_node(
             node_id,
             node_class=(
@@ -587,7 +587,7 @@ def _censor_fabric(
                 else NodeClass.PERSONAL_COMPUTER
             ),
         )
-    inside = nodes_in_region(graph, "cn")
+    inside = nodes_in_region(region_of, "cn")
     for service in ("svc0", "svc1"):
         network.create_node(service, node_class=NodeClass.DATACENTER)
     relays = []

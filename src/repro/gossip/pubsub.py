@@ -12,14 +12,11 @@ asks of group communication systems, and is what E4/E5 measure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.crypto.hashing import hash_obj
 from repro.errors import GroupCommError
 from repro.net.transport import Network
-
-if TYPE_CHECKING:  # pragma: no cover - import for annotations only
-    import networkx as nx
 
 __all__ = ["PubSubMessage", "PubSubNode", "build_pubsub_overlay"]
 
@@ -116,14 +113,14 @@ class PubSubNode:
 
 
 def build_pubsub_overlay(
-    network: Network, graph: nx.Graph, node_class: str = "datacenter"
+    network: Network, graph: Dict[str, List[str]], node_class: str = "datacenter"
 ) -> Dict[str, PubSubNode]:
     """Create network nodes for every graph vertex and wire a
     :class:`PubSubNode` per vertex with graph edges as gossip links."""
     overlay: Dict[str, PubSubNode] = {}
-    for name in graph.nodes:
+    for name in graph:
         if not network.has_node(name):
             network.create_node(name, node_class=node_class)
-    for name in graph.nodes:
-        overlay[name] = PubSubNode(network, name, list(graph.neighbors(name)))
+    for name, neighbors in graph.items():
+        overlay[name] = PubSubNode(network, name, neighbors)
     return overlay

@@ -10,7 +10,7 @@ serve a post is small and device-grade (the trade E5 quantifies).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional
 
 from repro.errors import (
     AccessDeniedError,
@@ -21,9 +21,6 @@ from repro.errors import (
 from repro.groupcomm.messages import Audience, Message
 from repro.net.node import NodeClass
 from repro.net.transport import Network
-
-if TYPE_CHECKING:  # pragma: no cover - import for annotations only
-    import networkx as nx
 
 __all__ = ["SocialP2PNetwork"]
 
@@ -36,7 +33,7 @@ class SocialP2PNetwork:
     def __init__(
         self,
         network: Network,
-        social_graph: nx.Graph,
+        social_graph: Dict[str, List[str]],
         replicate_to_friends: int = 2,
         node_class: str = NodeClass.PERSONAL_COMPUTER,
     ):
@@ -53,7 +50,7 @@ class SocialP2PNetwork:
         )
         # user -> designated close friends (a subset of their friends).
         self._close_friends: Dict[str, set] = defaultdict(set)
-        for user in social_graph.nodes:
+        for user in social_graph:
             if not network.has_node(user):
                 network.create_node(user, node_class=node_class)
             network.node(user).register_handler(
@@ -68,10 +65,10 @@ class SocialP2PNetwork:
     def friends_of(self, user: str) -> List[str]:
         if user not in self.graph:
             raise GroupCommError(f"unknown user {user!r}")
-        return sorted(self.graph.neighbors(user))
+        return sorted(self.graph[user])
 
     def are_friends(self, a: str, b: str) -> bool:
-        return self.graph.has_edge(a, b)
+        return b in self.graph.get(a, ())
 
     # -- access levels (Persona/Lockr-style, §3.2) -----------------------------
 

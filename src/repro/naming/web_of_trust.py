@@ -11,9 +11,6 @@ binding.  The attack succeeds exactly when the attacker gets at least one
 edge from inside the honest region (a social-engineering event the model
 parameterizes), because Sybil identities are free — the quantitative point
 of the E6-adjacent WoT experiments.
-
-networkx is imported by the two methods that build or search the graph,
-so importing :mod:`repro.naming` does not load it.
 """
 
 from __future__ import annotations
@@ -39,8 +36,6 @@ class WebOfTrust:
     kind = "web_of_trust"
 
     def __init__(self, trust_horizon: int = 3, endorsements_required: int = 2):
-        import networkx as nx
-
         if trust_horizon < 1:
             raise NamingError(f"trust horizon must be >= 1: {trust_horizon}")
         if endorsements_required < 1:
@@ -49,7 +44,8 @@ class WebOfTrust:
             )
         self.trust_horizon = trust_horizon
         self.endorsements_required = endorsements_required
-        self._graph = nx.DiGraph()  # identity -> identity ("I vouch for you")
+        # identity -> the identities it vouches for ("I vouch for you")
+        self._graph: Dict[str, Set[str]] = {}
         self._endorsements: Dict[Tuple[str, str], Set[str]] = {}
         self._identities: Dict[str, KeyPair] = {}
 
@@ -58,7 +54,7 @@ class WebOfTrust:
     def create_identity(self, seed: str) -> KeyPair:
         pair = generate_keypair(f"wot:{seed}")
         self._identities[pair.public_key] = pair
-        self._graph.add_node(pair.public_key)
+        self._graph.setdefault(pair.public_key, set())
         return pair
 
     def vouch(self, endorser: KeyPair, subject_public_key: str) -> None:
@@ -68,7 +64,7 @@ class WebOfTrust:
             raise NamingError("cannot vouch for an unknown identity")
         if endorser.public_key == subject_public_key:
             raise NamingError("self-vouching is meaningless")
-        self._graph.add_edge(endorser.public_key, subject_public_key)
+        self._graph[endorser.public_key].add(subject_public_key)
 
     def endorse_binding(self, endorser: KeyPair, name: str, public_key: str) -> None:
         """``endorser`` signs the claim that ``name`` belongs to ``public_key``."""
@@ -84,16 +80,14 @@ class WebOfTrust:
 
     def reachable_from(self, anchors: List[str]) -> Set[str]:
         """Identities within ``trust_horizon`` hops of any anchor."""
-        import networkx as nx
-
-        reachable: Set[str] = set()
-        for anchor in anchors:
-            if anchor not in self._graph:
-                continue
-            lengths = nx.single_source_shortest_path_length(
-                self._graph, anchor, cutoff=self.trust_horizon
-            )
-            reachable.update(lengths)
+        reachable = {anchor for anchor in anchors if anchor in self._graph}
+        frontier = reachable
+        for _ in range(self.trust_horizon):
+            frontier = {
+                subject for identity in frontier
+                for subject in self._graph[identity]
+            } - reachable
+            reachable |= frontier
         return reachable
 
     def trusted_endorsers(

@@ -1,6 +1,7 @@
 """Simulated network substrate: nodes, latency, transport, churn.
 
-The networkx graph builders are imported from :mod:`repro.net.topology`.
+The graph builders (plain adjacency dicts) are imported from
+:mod:`repro.net.topology`.
 """
 
 from repro.net.churn import (

@@ -17,7 +17,9 @@ imported from :mod:`repro.sim.cohort`.
 
 from repro.sim.engine import AllOf, Process, Signal, Simulator, Timeout
 from repro.sim.monitor import Counter
-from repro.sim.rng import RngStreams, derive_seed, seeded_generator, seeded_rng
+from repro.sim.rng import (
+    RngStreams, derive_seed, graph_rng, seeded_generator, seeded_rng,
+)
 
 __all__ = [
     "Simulator",
@@ -28,6 +30,7 @@ __all__ = [
     "AllOf",
     "RngStreams",
     "derive_seed",
+    "graph_rng",
     "seeded_rng",
     "Counter",
 ]

@@ -23,7 +23,9 @@ from typing import TYPE_CHECKING, Dict
 if TYPE_CHECKING:  # pragma: no cover - import for annotations only
     import numpy
 
-__all__ = ["RngStreams", "derive_seed", "seeded_generator", "seeded_rng"]
+__all__ = [
+    "RngStreams", "derive_seed", "graph_rng", "seeded_generator", "seeded_rng",
+]
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -45,6 +47,13 @@ def seeded_rng(root_seed: int, name: str) -> random.Random:
     exactly like :meth:`RngStreams.stream`.
     """
     return random.Random(derive_seed(root_seed, name))
+
+
+def graph_rng(seed: int) -> random.Random:
+    """A ``random.Random`` on the raw ``seed``, not a derived stream: the
+    generator networkx seeds for its graph builders, so that
+    :mod:`repro.net.topology` draws the graphs networkx draws."""
+    return random.Random(seed)
 
 
 def seeded_generator(root_seed: int, name: str) -> "numpy.random.Generator":

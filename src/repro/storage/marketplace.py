@@ -147,11 +147,19 @@ class StorageMarketplace:
             if provider_id is not None
             else self.cheapest_providers(blob.size_bytes, 1)[0]
         )
-        yield from self.upload_blob(consumer, provider.node_id, blob)
         if price_per_epoch is None:
             price_per_epoch = (
                 provider.price_per_gb_epoch * blob.size_bytes / 1e9
             )
+        # Check payment before the upload: an unfunded consumer ships no bytes.
+        total_price = price_per_epoch * epochs
+        balance = self.ledger.balance(consumer)
+        if not 0 <= total_price <= balance:
+            raise ContractError(
+                f"{consumer!r} cannot pay {total_price} for {epochs}"
+                f" epochs: balance {balance}"
+            )
+        yield from self.upload_blob(consumer, provider.node_id, blob)
         deal = StorageDeal(
             deal_id=hash_obj(
                 {"c": consumer, "p": provider.node_id, "r": blob.merkle_root,

@@ -136,8 +136,10 @@ class ReplicatedBlobStore:
                 yield from self._repair_one(root, health)
 
     def _repair_one(self, root: str, health: BlobHealth) -> Generator:
+        # Sorted: the first online holder is the upload source, and a set's
+        # order would make it depend on PYTHONHASHSEED.
         online_holders = [
-            h for h in health.holders if self.providers[h].node.online
+            h for h in sorted(health.holders) if self.providers[h].node.online
         ]
         # Permanent-loss check: a holder whose churn process departed for
         # good no longer counts at all.
@@ -176,7 +178,7 @@ class ReplicatedBlobStore:
             raise StorageError(f"unknown blob {root[:12]}")
         reader_id = reader or self.client_id
         online_holders = [
-            h for h in health.holders if self.providers[h].node.online
+            h for h in sorted(health.holders) if self.providers[h].node.online
         ]
         for holder in online_holders:
             try:

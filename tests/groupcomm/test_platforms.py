@@ -305,7 +305,7 @@ class TestSocialP2P:
         sim, network, p2p, graph = self.setup_p2p()
         author = "u0"
         stranger = next(
-            u for u in graph.nodes
+            u for u in graph
             if u != author and not p2p.are_friends(author, u)
         )
 
@@ -401,7 +401,7 @@ class TestAccessLevels:
         sim, network, p2p, graph = self.setup_p2p()
         author = "u0"
         stranger = next(
-            u for u in graph.nodes
+            u for u in graph
             if u != author and not p2p.are_friends(author, u)
         )
 
@@ -418,7 +418,7 @@ class TestAccessLevels:
         sim, network, p2p, graph = self.setup_p2p(seed=21)
         author = "u0"
         stranger = next(
-            u for u in graph.nodes
+            u for u in graph
             if u != author and not p2p.are_friends(author, u)
         )
 
@@ -456,7 +456,7 @@ class TestAccessLevels:
         sim, network, p2p, graph = self.setup_p2p(seed=23)
         author = "u0"
         stranger = next(
-            u for u in graph.nodes
+            u for u in graph
             if u != author and not p2p.are_friends(author, u)
         )
         with pytest.raises(GroupCommError):

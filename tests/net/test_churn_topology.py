@@ -1,6 +1,5 @@
 """Tests for churn processes and topology builders."""
 
-import networkx as nx
 import pytest
 
 from repro.errors import NetworkError
@@ -16,6 +15,7 @@ from repro.net.churn import PERSONAL_COMPUTER_PROFILE, SMARTPHONE_PROFILE
 from repro.groupcomm.federated import federation_homes
 from repro.net.topology import (
     isp_tree,
+    nodes_in_region,
     random_graph,
     ring_lattice,
     small_world,
@@ -188,25 +188,55 @@ class TestCrashRestore:
         assert not process.node.online  # departure wins over restore
 
 
+def edges(graph):
+    """Each undirected edge once, as a sorted pair; also checks symmetry."""
+    pairs = {tuple(sorted((u, v))) for u in graph for v in graph[u]}
+    assert all(u in graph[v] and v in graph[u] for u, v in pairs)
+    return pairs
+
+
+def is_connected(graph):
+    start = next(iter(graph))
+    seen, frontier = {start}, [start]
+    while frontier:
+        node = frontier.pop()
+        for neighbour in graph[node]:
+            if neighbour not in seen:
+                seen.add(neighbour)
+                frontier.append(neighbour)
+    return len(seen) == len(graph)
+
+
 class TestTopologies:
     def test_star_shape(self):
         g = star("hub", [f"u{i}" for i in range(5)])
-        assert g.degree("hub") == 5
-        assert all(g.degree(f"u{i}") == 1 for i in range(5))
+        assert len(g["hub"]) == 5
+        assert all(g[f"u{i}"] == ["hub"] for i in range(5))
 
     def test_star_rejects_center_leaf(self):
         with pytest.raises(NetworkError):
             star("hub", ["hub"])
 
     def test_isp_tree_structure(self):
-        g = isp_tree(n_isps=3, users_per_isp=4)
+        g, region_of = isp_tree(n_isps=3, users_per_isp=4)
         isps = [n for n in g if n.startswith("isp")]
         users = [n for n in g if n.startswith("user")]
         assert len(isps) == 3
         assert len(users) == 12
         # ISPs are fully meshed.
-        assert g.degree("isp0") == 2 + 4
-        assert nx.is_connected(g)
+        assert len(g["isp0"]) == 2 + 4
+        assert len(edges(g)) == 3 + 12
+        assert is_connected(g)
+        assert region_of == {}
+        with pytest.raises(NetworkError):
+            nodes_in_region(region_of, "cn")
+
+    def test_isp_tree_regions(self):
+        g, region_of = isp_tree(4, 2, regions=("cn", "intl"))
+        assert set(region_of) == set(g)
+        assert nodes_in_region(region_of, "cn") == [
+            "isp0", "isp2", "user0_0", "user0_1", "user2_0", "user2_1",
+        ]
 
     def test_random_graph_size(self):
         g = random_graph(50, 0.1, seed=1)
@@ -215,13 +245,14 @@ class TestTopologies:
     def test_random_graph_reproducible(self):
         g1 = random_graph(30, 0.2, seed=7)
         g2 = random_graph(30, 0.2, seed=7)
-        assert set(g1.edges) == set(g2.edges)
+        assert edges(g1) == edges(g2)
 
     def test_small_world_params(self):
         g = small_world(40, k=4, rewire_prob=0.1, seed=2)
         assert len(g) == 40
-        degrees = [d for _, d in g.degree]
+        degrees = [len(neighbours) for neighbours in g.values()]
         assert sum(degrees) / len(degrees) == pytest.approx(4.0, abs=0.5)
+        assert len(edges(g)) == 40 * 4 // 2  # rewiring keeps the edge count
 
     def test_small_world_k_bound(self):
         with pytest.raises(NetworkError):
@@ -229,7 +260,13 @@ class TestTopologies:
 
     def test_ring_lattice_regular(self):
         g = ring_lattice(10, k=2)
-        assert all(d == 2 for _, d in g.degree)
+        assert all(len(neighbours) == 2 for neighbours in g.values())
+        assert is_connected(g)
+
+    def test_ring_lattice_k_bound(self):
+        assert len(edges(ring_lattice(5, k=5))) == 10  # k == count: complete
+        with pytest.raises(NetworkError):
+            ring_lattice(5, k=6)
 
     def test_bad_count_rejected(self):
         with pytest.raises(NetworkError):

@@ -189,6 +189,27 @@ class TestMarketplace:
         with pytest.raises(ContractError):
             sim.run_process(scenario())
 
+    @pytest.mark.parametrize("balance", [0.0, 4.99])
+    def test_unfunded_deal_uploads_nothing(self, balance):
+        # The price (5 epochs at 1.0) is checked before any chunk ships:
+        # an unfunded consumer must not fill the provider's disk.
+        sim, streams, network, market, providers = setup_market()
+        network.create_node("poor")
+        market.ledger.credit("poor", balance)
+        blob = make_random_blob(streams, 10 * 1024, chunk_size=1024)
+
+        def scenario():
+            yield from market.make_deal(
+                "poor", blob, epochs=5, provider_id="prov0",
+                price_per_epoch=1.0,
+            )
+
+        with pytest.raises(ContractError):
+            sim.run_process(scenario())
+        assert providers[0].used_bytes == 0
+        assert network.node("poor").bytes_sent == 0
+        assert market.ledger.balance("poor") == balance
+
     def test_duplicate_provider_registration_rejected(self):
         sim, streams, network, market, providers = setup_market()
         with pytest.raises(StorageError):

@@ -170,3 +170,63 @@ class TestRepair:
             sim.run_process(scenario(), until=8000.0)
             repair_bytes[label] = store.repair_bytes()
         assert repair_bytes["churny"] > repair_bytes["calm"]
+
+
+class TestHolderOrder:
+    """``BlobHealth.holders`` is a set: the store must visit it sorted, or
+    the repair source and the retrieval order depend on PYTHONHASHSEED."""
+
+    def spy_on_store_rpcs(self, network):
+        calls = []
+        original_rpc = network.rpc
+
+        def spying_rpc(src, dst, method, payload, **kwargs):
+            if method in ("store.get", "store.put"):
+                calls.append((method, src, dst))
+            return original_rpc(src, dst, method, payload, **kwargs)
+
+        network.rpc = spying_rpc
+        return calls
+
+    def test_retrieve_tries_holders_in_sorted_order(self):
+        sim, streams, network, providers, store = setup_pool(
+            seed=11, replication_factor=6
+        )
+        blob = make_random_blob(streams, 2048, chunk_size=1024)
+        by_id = {p.node_id: p for p in providers}
+
+        def scenario():
+            health = yield from store.store(blob)
+            # Every holder serves a bad chunk 0, so retrieve tries them all.
+            for holder in health.holders:
+                by_id[holder].commitments[blob.merkle_root].payloads[0] = b"x"
+            calls[:] = []
+            try:
+                yield from store.retrieve(blob.merkle_root)
+            except StorageError:
+                return sorted(health.holders)
+
+        calls = self.spy_on_store_rpcs(network)
+        holders = sim.run_process(scenario())
+        assert calls == [("store.get", "replication-manager", h) for h in holders]
+
+    def test_repair_uploads_from_first_sorted_online_holder(self):
+        sim, streams, network, providers, store = setup_pool(
+            seed=12, replication_factor=6
+        )
+        blob = make_random_blob(streams, 2048, chunk_size=1024)
+
+        def scenario():
+            health = yield from store.store(blob)
+            holders = sorted(health.holders)
+            network.node(holders[0]).set_online(False, sim.now)
+            calls[:] = []
+            store.start_repair()
+            yield store.check_interval + 1.0  # one repair pass
+            store.stop_repair()
+            return holders
+
+        calls = self.spy_on_store_rpcs(network)
+        holders = sim.run_process(scenario(), until=1000.0)
+        assert [src for _, src, _ in calls] == [holders[1]]
+        assert [method for method, _, _ in calls] == ["store.put"]

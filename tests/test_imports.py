@@ -1,9 +1,10 @@
 """A run imports only the libraries it computes with.
 
-numpy and networkx are imported only by the modules that compute with
-them (``sim/cohort.py``, ``analysis/cohort.py``, ``net/topology.py``,
-and inside the functions that build or search a graph), and a package
-``__init__`` imports neither.  Every CLI run and benchmark rep is a
+numpy is imported only by the modules that compute with it
+(``sim/cohort.py``, ``analysis/cohort.py``, and inside the functions
+that draw arrays), and a package ``__init__`` does not import it.
+Graphs are plain dicts (``net/topology.py``), so no run loads networkx,
+not even one that builds a graph.  Every CLI run and benchmark rep is a
 fresh interpreter that pays for each import, so these cases pin the
 footprint.  Each case runs in its own interpreter: this process's
 ``sys.modules`` holds whatever earlier tests imported.
@@ -51,9 +52,20 @@ def test_package_loads_neither_library(package):
     assert loaded_after(f"import {package}", LIBRARIES) == []
 
 
+@pytest.mark.parametrize("driver", [
+    "from repro.analysis.experiments import run_usenet_collapse\n"
+    "run_usenet_collapse(seed=7, community_sizes=[16])",
+    "from repro.analysis.censorship import run_censorship_sweep\n"
+    "run_censorship_sweep(seed=1)",
+], ids=["usenet_collapse", "censorship_sweep"])
+def test_graph_building_run_loads_neither_library(driver):
+    assert loaded_after(driver, LIBRARIES) == []
+
+
 @pytest.mark.parametrize("module, library", [
     ("repro.analysis.cohort", "networkx"),
     ("repro.analysis.censorship", "numpy"),
+    ("repro.analysis.censorship", "networkx"),
     ("repro.analysis.runner", "concurrent.futures.process"),
 ])
 def test_module_does_not_load(module, library):
