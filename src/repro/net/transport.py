@@ -284,7 +284,7 @@ class _RpcCall(_Waitable):
     call is a no-op.
 
     In flight (request sent, no response yet) the call and its caller
-    process hold at most 13 GC-tracked objects (the budget in
+    process hold at most 12 GC-tracked objects (the budget in
     ``tests/net/test_transport_legs.py``).
     """
 
@@ -440,7 +440,7 @@ class Network:
         The handler's return value is discarded.  Lost silently if the
         message is dropped or the destination is offline at arrival.
         """
-        if size_bytes < 0:
+        if not size_bytes >= 0:  # also rejects NaN
             raise NetworkError(f"negative message size: {size_bytes}")
         nodes = self._nodes
         src, dst = nodes.get(src_id), nodes.get(dst_id)
@@ -478,10 +478,11 @@ class Network:
         """Arrival of one one-way leg, scheduled by :meth:`send`.
 
         A method bound once per network rather than a per-message
-        closure, so an in-flight leg costs two GC-tracked objects: its
-        event (a heap entry or a chain link) and args tuple.  Checks run
-        offline → censor → partition → corrupt, each reading transport
-        state at arrival, so faults landing mid-flight still kill it.
+        closure, so an in-flight leg is one GC-tracked object: its event
+        (a heap entry or a chain link), which holds these arguments
+        inline.  Checks run offline → censor → partition → corrupt, each
+        reading transport state at arrival, so faults landing mid-flight
+        still kill it.
         """
         self._flow_in_flight -= 1
         dst_id = dst.node_id
@@ -562,7 +563,7 @@ class Network:
             raise NetworkError(f"retries must be >= 0, got {retries}")
         if not timeout >= 0:  # also rejects NaN
             raise NetworkError(f"negative rpc timeout: {timeout}")
-        if size_bytes < 0 or response_bytes < 0:
+        if not (size_bytes >= 0 and response_bytes >= 0):  # also NaN
             raise NetworkError(
                 f"negative message size: size_bytes={size_bytes},"
                 f" response_bytes={response_bytes}"

@@ -15,13 +15,16 @@ Trace validation checks the JSONL schema that
 ``schema == 1``, an ``int`` ``seq`` strictly increasing from 0, a
 non-empty ``str`` ``kind``, and — when present — a finite, non-negative
 simulated timestamp ``t``.  Unknown kinds and extra fields are allowed
-(the kind set is open), so validation survives new emitters.
+(the kind set is open), so validation survives new emitters.  Across
+records it checks the engine's event accounting: an event is fired or
+cancelled at most once, and only after it was scheduled.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import Metrics
@@ -112,6 +115,11 @@ def render_report_human(
 # Trace validation
 # ---------------------------------------------------------------------------
 
+#: Records that end a scheduled event, each naming its ``event_seq``
+#: (a tuple, not a set: a malformed ``kind`` may be unhashable).
+_EVENT_SETTLED = ("event_fired", "event_cancelled")
+
+
 def validate_trace_line(
     obj: Any, expected_seq: Optional[int] = None
 ) -> List[str]:
@@ -141,16 +149,31 @@ def validate_trace_line(
             or t < 0
         ):
             errors.append(f"t is {t!r}, expected finite non-negative number")
+    if kind == "event_scheduled" or kind in _EVENT_SETTLED:
+        event_seq = obj.get("event_seq")
+        if (not isinstance(event_seq, int) or isinstance(event_seq, bool)
+                or event_seq < 0):
+            errors.append(
+                f"event_seq is {event_seq!r}, expected non-negative int")
     return errors
 
 
 def validate_trace_file(path: str) -> List[str]:
-    """All schema errors in a JSONL trace file (empty list when valid).
+    """All schema and event-accounting errors in a JSONL trace file
+    (empty list when valid).
 
-    Each error is prefixed ``line N:`` for human consumption.
+    At every record, the ``event_fired`` and ``event_cancelled`` records
+    naming an ``event_seq`` may not outnumber the ``event_scheduled``
+    records naming it so far.  The counts are multisets because a
+    sweep's trace holds several simulators whose seqs each start at 0;
+    a trace cut short by ``--capacity`` is a prefix, so the check holds
+    on it too.  Each error is prefixed ``line N:`` for human
+    consumption.
     """
     errors: List[str] = []
     next_seq = 0
+    scheduled: Counter = Counter()
+    settled: Counter = Counter()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -163,7 +186,22 @@ def validate_trace_file(path: str) -> List[str]:
                 continue
             for error in validate_trace_line(obj, expected_seq=next_seq):
                 errors.append(f"line {lineno}: {error}")
-            seq = obj.get("seq") if isinstance(obj, dict) else None
+            if not isinstance(obj, dict):
+                continue
+            seq = obj.get("seq")
             if isinstance(seq, int) and not isinstance(seq, bool):
                 next_seq = max(next_seq, seq + 1)
+            kind, event_seq = obj.get("kind"), obj.get("event_seq")
+            if not isinstance(event_seq, int):
+                continue  # not an event record, or reported above
+            if kind == "event_scheduled":
+                scheduled[event_seq] += 1
+            elif kind in _EVENT_SETTLED:
+                settled[event_seq] += 1
+                if settled[event_seq] > scheduled[event_seq]:
+                    errors.append(
+                        f"line {lineno}: event_seq {event_seq} fired or"
+                        f" cancelled {settled[event_seq]} time(s) but"
+                        f" scheduled {scheduled[event_seq]} time(s)"
+                    )
     return errors

@@ -56,8 +56,15 @@ def _exponential_dwells(
     ``-scale * log1p(-U)`` instead of ``Generator.exponential`` pins the
     draw sequence to the bit-generator's uniform output, which is the
     part of numpy's RNG surface with a cross-version stability promise.
+    Each step runs in place in the uniform buffer, so a draw of ``size``
+    dwells allocates ``size`` floats and no temporaries; negation is
+    exact and multiplication commutes, so every draw is bit-identical
+    to the expression above.
     """
-    return -scales * numpy.log1p(-generator.random(size))
+    draws = generator.random(size)
+    numpy.negative(draws, out=draws)
+    numpy.log1p(draws, out=draws)
+    return numpy.multiply(draws, -scales, out=draws)
 
 
 class DeviceCohort:

@@ -23,6 +23,17 @@ head's successor is the smallest entry and takes ``queue[0]`` with no
 sift.  ``run`` advances the queue *before* each callback: a callback
 that schedules at that instant or raises finds the queue consistent.
 
+A chain link reuses its head's time float, and in a simulator with no
+tracer it also stores its head's seq instead of a number of its own.
+That orders it exactly.  A link reaches ``queue[0]`` only after its
+predecessor fired.  By then every entry at its instant that was pushed
+before the chain began has fired, since it sorted before the head, so
+every other entry left there was pushed after the chain ended and holds
+a larger seq: the head's seq still puts the link first, and no two heap
+entries ever share a seq.  Only the tracer reads a link's own seq
+(``event_fired``, ``event_cancelled``), and a simulator's tracer is
+fixed at construction, so a traced simulator gives every link its own.
+
 One wait, one wake-up
 ---------------------
 A process waits on one thing at a time: a delay, a :class:`Signal`, an
@@ -303,24 +314,16 @@ class Process:
 class _ScheduledEvent(List[Any]):
     """Handle for one scheduled callback, and its own queue entry.
 
-    The entry is ``[time, seq, callback, args, sim, next]``: ``seq`` is
-    unique, so list comparison resolves at C speed on the first two
-    items and never calls back into Python, and an event costs one
-    GC-tracked object (plus its args tuple) instead of a handle and a
-    ``(time, seq, event)`` heap tuple.  ``callback is None`` marks an
-    event that was fired or cancelled; ``next`` links the chain of its
-    instant (only a chain's head is in the heap; see the module doc).
+    The entry is ``[time, seq, callback, sim, next, *args]``: ``seq`` is
+    unique among heap entries, so list comparison resolves at C speed
+    on the first two items and never calls back into Python, and an
+    event with its arguments inline is one exact-size GC-tracked object.
+    ``callback is None`` marks an event that was fired or cancelled;
+    ``next`` links the chain of its instant (only a chain's head is in
+    the heap; see the module doc).
     """
 
     __slots__ = ()
-
-    @property
-    def time(self) -> float:
-        return self[0]
-
-    @property
-    def seq(self) -> int:
-        return self[1]
 
     def cancel(self) -> None:
         """Idempotent; cancelling an already-executed event is a no-op.
@@ -336,8 +339,8 @@ class _ScheduledEvent(List[Any]):
         if self[2] is None:
             return
         self[2] = None
-        self[3] = ()
-        sim: Simulator = self[4]
+        del self[5:]
+        sim: Simulator = self[3]
         sim._tombstones += 1
         if sim._tracer is not None:
             sim._tracer.emit("event_cancelled", t=sim.now, event_seq=self[1])
@@ -346,7 +349,7 @@ class _ScheduledEvent(List[Any]):
 
 
 #: The tail of a simulator whose last scheduled event has left the queue.
-_NO_TAIL = _ScheduledEvent((math.nan, -1, None, (), None, None))
+_NO_TAIL = _ScheduledEvent((math.nan, -1, None, None, None))
 
 
 class Simulator:
@@ -435,10 +438,16 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         at = self.now + delay
-        event = _ScheduledEvent((at, seq, callback, args, self, None))
         if at == self._tail_at:
-            self._tail[5] = event
+            # A link shares its head's time float and, untraced, its
+            # head's seq: see "The event queue" in the module doc.
+            tail = self._tail
+            event = _ScheduledEvent(
+                (tail[0], tail[1] if self._tracer is None else seq,
+                 callback, self, None) + args)
+            tail[4] = event
         else:
+            event = _ScheduledEvent((at, seq, callback, self, None) + args)
             heappush(self._queue, event)
             self._tail_at = at
         self._tail = event
@@ -499,7 +508,7 @@ class Simulator:
                         raise SimulationError(
                             f"exceeded max_events={max_events};"
                             " runaway simulation?")
-                successor = event[5]
+                successor = event[4]
                 if successor is None:
                     heappop(queue)
                     if event is self._tail:
@@ -507,7 +516,7 @@ class Simulator:
                         self._tail_at = math.nan
                 else:
                     queue[0] = successor
-                    event[5] = None
+                    event[4] = None
                 if callback is None:
                     # Tombstone: already traced/counted at cancel time.
                     self._tombstones -= 1
@@ -531,7 +540,7 @@ class Simulator:
                     if metrics is not None:
                         metrics.inc("sim.events_fired")
                         metrics.observe("sim.queue_depth", depth)
-                callback(*event[3])
+                callback(*event[5:])
             if until is not None and self.now < until:
                 self.now = until
         finally:

@@ -1,15 +1,19 @@
 """Per-leg costs and input validation of the transport's message legs.
 
 An in-flight leg is an arrival method bound once per network plus its
-arguments, not a closure: two GC-tracked objects (the
-``_ScheduledEvent``, which is a heap entry or a link in its instant's
-chain, and its args tuple).  A closure with its cells costs 11, and at
-the queue depths of a message flood the cyclic collector rescans every
-one of them on each pass.
+arguments, not a closure: one GC-tracked object, the
+``_ScheduledEvent`` that holds the arguments inline and is a heap entry
+or a link in its instant's chain.  A chain link reuses its head's time
+float and, in an untraced simulator, its head's seq, so in a
+same-instant burst a leg is the event list and its ten-slot item array:
+136 bytes on CPython 3.11 (240 in two objects while the arguments were
+a tuple of their own).  A closure with its cells costs 11 objects, and
+at the queue depths of a message flood the cyclic collector rescans
+every one of them on each pass.
 
 An RPC attempt is one call object that is the caller's wait, the
 response target and the timeout callback.  In flight, with its caller
-process, it holds at most 13 GC-tracked objects (12 on CPython 3.11; a
+process, it holds at most 12 GC-tracked objects (11 on CPython 3.11; a
 signal-or-timeout race held 30, and a process parked on ``yield 30.0``
 holds 7), and it costs three engine events when answered and two when
 it times out.  A cancelled event keeps neither its callback nor its
@@ -21,6 +25,7 @@ line it first executes, and the first pass absorbs those allocations.
 """
 
 import gc
+import tracemalloc
 import types
 import weakref
 
@@ -33,8 +38,9 @@ from repro.obs import Metrics
 from repro.sim import RngStreams, Simulator
 
 LEGS = 2_000
-TRACKED_PER_LEG = 2
-TRACKED_PER_RPC = 13
+TRACKED_PER_LEG = 1
+TRACKED_PER_RPC = 12
+BYTES_PER_LEG = 144
 RPC_ROUNDS = 400
 
 
@@ -81,6 +87,25 @@ def tracked_per_leg(issue_one_leg):
     return (after - before) / LEGS
 
 
+def bytes_per_leg(issue_one_leg):
+    """``tracemalloc`` bytes added per call of ``issue_one_leg`` in the
+    second of two passes of ``LEGS`` calls, with the collector held
+    off."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(LEGS):
+                issue_one_leg()
+            after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    return (after - before) / LEGS
+
+
 def _tracked_without_frames():
     return sum(1 for obj in gc.get_objects()
                if not isinstance(obj, types.FrameType))
@@ -113,6 +138,16 @@ class TestAllocationBudget:
         sim.run()
         per_leg = tracked_per_leg(lambda: network.send("a", "b", "ping", 1))
         assert per_leg <= TRACKED_PER_LEG
+        assert sim.pending_events == 2 * LEGS
+
+    def test_one_way_leg_bytes_stay_within_budget(self, pair):
+        # Every leg lands at 0.05, so all but the first are chain links.
+        sim, network = pair
+        network.send("a", "b", "ping", 1)  # warm the counter keys
+        sim.run()
+        per_leg = bytes_per_leg(lambda: network.send("a", "b", "ping", 1))
+        assert per_leg <= BYTES_PER_LEG
+        assert len(sim._queue) == 1
         assert sim.pending_events == 2 * LEGS
 
     def test_rpc_response_leg_stays_within_budget(self, pair):
@@ -258,9 +293,25 @@ class TestNegativeSizes:
         assert network.flow_snapshot()["sent"] == 0
         assert sim.pending_events == 0
 
+    def test_nan_one_way_rejected_before_any_accounting(self, metered_pair):
+        # A NaN size passes a ``< 0`` test: it would reach the byte
+        # counters and the flow ledger before the engine refused its
+        # NaN delay.
+        sim, network, metrics = metered_pair
+        with pytest.raises(NetworkError, match="negative message size"):
+            network.send("a", "b", "ping", 1, size_bytes=float("nan"))
+        assert net_counters(metrics) == {}
+        assert network.node("a").bytes_sent == 0
+        assert network.flow_snapshot() == {
+            "sent": 0, "delivered": 0, "dropped": 0, "in_flight": 0,
+        }
+        assert sim.pending_events == 0
+
     @pytest.mark.parametrize("sizes", [
         {"size_bytes": -1},
         {"response_bytes": -1},
+        {"size_bytes": float("nan")},
+        {"response_bytes": float("nan")},
     ])
     def test_rpc_rejected_in_the_caller(self, metered_pair, sizes):
         sim, network, metrics = metered_pair
@@ -277,6 +328,7 @@ class TestNegativeSizes:
         assert network.flow_snapshot() == {
             "sent": 0, "delivered": 0, "dropped": 0, "in_flight": 0,
         }
+        assert network.node("a").bytes_sent == 0
 
     def test_negative_rpc_timeout_rejected_in_the_caller(self, metered_pair):
         sim, network, metrics = metered_pair

@@ -11,6 +11,7 @@ from repro.obs import (
     validate_trace_line,
 )
 from repro.obs.reporters import JSON_SCHEMA_VERSION
+from repro.sim import Simulator
 
 
 def _sample_metrics():
@@ -92,7 +93,7 @@ class TestValidateLine:
         assert any("not increasing" in e for e in errors)
 
     def test_bad_kind(self):
-        for kind in (None, "", 7):
+        for kind in (None, "", 7, []):
             errors = validate_trace_line({"schema": 1, "seq": 0, "kind": kind})
             assert any("kind" in e for e in errors), kind
 
@@ -134,3 +135,63 @@ class TestValidateFile:
         path = tmp_path / "gaps.jsonl"
         path.write_text('{"schema":1,"seq":0,"kind":"a"}\n\n\n')
         assert validate_trace_file(str(path)) == []
+
+
+def _event_trace(tmp_path, records):
+    """A trace file of ``(kind, event_seq)`` records."""
+    path = tmp_path / "events.jsonl"
+    path.write_text("".join(
+        json.dumps({"schema": 1, "seq": seq, "kind": kind, "t": 0.0,
+                    "event_seq": event_seq}) + "\n"
+        for seq, (kind, event_seq) in enumerate(records)))
+    return str(path)
+
+
+class TestValidateEventAccounting:
+    def test_simulator_trace_is_valid(self, tmp_path):
+        # Two events chained at 1.0, the second one cancelled.
+        tracer = Tracer()
+        sim = Simulator(tracer=tracer)
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(1.0, lambda: None).cancel()
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        path = tmp_path / "sim.jsonl"
+        tracer.write_jsonl(str(path))
+        assert validate_trace_file(str(path)) == []
+
+    def test_restarted_seqs_count_as_a_multiset(self, tmp_path):
+        # Two simulators in one sweep trace both number from 0.
+        path = _event_trace(tmp_path, [
+            ("event_scheduled", 0), ("event_scheduled", 0),
+            ("event_fired", 0), ("event_cancelled", 0),
+        ])
+        assert validate_trace_file(path) == []
+
+    def test_unannounced_seq_rejected(self, tmp_path):
+        path = _event_trace(tmp_path, [
+            ("event_scheduled", 0), ("event_fired", 1),
+            ("event_scheduled", 1),
+        ])
+        assert validate_trace_file(path) == [
+            "line 2: event_seq 1 fired or cancelled 1 time(s) but"
+            " scheduled 0 time(s)",
+        ]
+
+    def test_seq_fired_twice_rejected(self, tmp_path):
+        path = _event_trace(tmp_path, [
+            ("event_scheduled", 0), ("event_fired", 0),
+            ("event_cancelled", 0),
+        ])
+        assert validate_trace_file(path) == [
+            "line 3: event_seq 0 fired or cancelled 2 time(s) but"
+            " scheduled 1 time(s)",
+        ]
+
+    def test_event_record_needs_an_event_seq(self):
+        for event_seq in (None, -1, "0", True):
+            errors = validate_trace_line({
+                "schema": 1, "seq": 0, "kind": "event_fired",
+                "event_seq": event_seq,
+            })
+            assert any("event_seq" in e for e in errors), event_seq

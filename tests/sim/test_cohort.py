@@ -1,6 +1,7 @@
 """Unit coverage for the vectorized cohort engine (repro.sim.cohort)."""
 
 import math
+import tracemalloc
 
 import numpy
 import pytest
@@ -75,6 +76,21 @@ class TestDeviceCohortMemory:
         }
         assert sorted(arrays) == ["departed", "next_flip", "online"]
         assert sum(a.nbytes for a in arrays.values()) == 10 * size
+
+    def test_construction_peaks_within_the_budget(self):
+        # The first dwells are drawn in place in their uniform buffer,
+        # so building a cohort allocates its 10 bytes a device and no
+        # full-size temporaries (18 bytes a device when it made two).
+        size = 1_000_000
+        generator = seeded_generator(11, "test.cohort")
+        tracemalloc.start()
+        try:
+            DeviceCohort("test", size, 600.0, 300.0, 0.2,
+                         generator=generator)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / size <= 11
 
 
 class TestDeviceCohortDynamics:

@@ -9,6 +9,10 @@ callbacks, cancels of chain heads, middles and tails, ``run(until=)``
 at and between instants, schedules at ``now`` after ``run`` returns,
 and callbacks that raise.  After every step the fire order, ``now``,
 ``pending_events`` and the metrics snapshot must agree.
+
+An untraced chain link stores its head's seq, so the heap reference
+checks the order those shared seqs give.  A traced simulator gives each
+link its own seq, which ``TestTracedSeqs`` checks against the trace.
 """
 
 import heapq
@@ -17,7 +21,7 @@ import weakref
 from hypothesis import given, settings, strategies as st
 
 from repro.net import ConstantLatency, Network
-from repro.obs import Metrics
+from repro.obs import Metrics, Tracer
 from repro.sim import RngStreams, Simulator
 from tests.net import test_transport_legs as legs
 
@@ -129,12 +133,16 @@ class _Interpreter:
         self.observed = []
 
     def schedule(self, delay):
+        """The new event's ident, or ``None`` past ``_MAX_EVENTS``."""
         if len(self.handles) < _MAX_EVENTS:
             ident = len(self.handles)
             self.last_at = self.sim.now + delay
             self.handles.append(self.sim.schedule(delay, self.fire, ident))
-            return self.handles[-1]
+            return ident
         return None
+
+    def cancel(self, ident):
+        self.handles[ident].cancel()
 
     def fire(self, ident):
         sim = self.sim
@@ -144,7 +152,7 @@ class _Interpreter:
             for _ in range(action[2]):
                 self.schedule(action[1])
         elif action[0] == "cancel":
-            self.handles[action[1] % len(self.handles)].cancel()
+            self.cancel(action[1] % len(self.handles))
         elif action[0] == "raise":
             raise _Boom(ident)
 
@@ -153,12 +161,12 @@ class _Interpreter:
         kind = step[0]
         if kind == "burst":
             burst = [self.schedule(step[1]) for _ in range(step[2])]
-            self.last_burst = [event for event in burst if event is not None]
+            self.last_burst = [ident for ident in burst if ident is not None]
         elif kind == "cancel" and self.handles:
-            self.handles[step[1] % len(self.handles)].cancel()
+            self.cancel(step[1] % len(self.handles))
         elif kind == "cancel_in_burst" and self.last_burst:
             position = {0: 0, 1: len(self.last_burst) // 2, -1: -1}[step[1]]
-            self.last_burst[position].cancel()
+            self.cancel(self.last_burst[position])
         elif kind == "run":
             until = (self.last_at if step[1] == "last" else
                      None if step[1] is None else sim.now + step[1])
@@ -178,13 +186,42 @@ class _Interpreter:
         raise AssertionError("run() kept raising")
 
 
-def observe(make_sim, program):
+class _TracedInterpreter(_Interpreter):
+    """Also logs, in emission order, which event each ``event_*`` trace
+    record must name."""
+
+    def __init__(self, sim, actions):
+        super().__init__(sim, actions)
+        self.expected = []  # (record kind, ident)
+
+    def schedule(self, delay):
+        ident = super().schedule(delay)
+        if ident is not None:
+            self.expected.append(("event_scheduled", ident))
+        return ident
+
+    def cancel(self, ident):
+        before = len(self.sim.tracer)
+        super().cancel(ident)
+        if len(self.sim.tracer) > before:  # not already fired or cancelled
+            self.expected.append(("event_cancelled", ident))
+
+    def fire(self, ident):
+        self.expected.append(("event_fired", ident))
+        super().fire(ident)
+
+
+def interpret(sim, program, interpreter=_Interpreter):
     actions, steps = program
-    program_run = _Interpreter(make_sim(Metrics()), actions)
+    program_run = interpreter(sim, actions)
     for step in steps:
         program_run.step(step)
     program_run.drain()
-    return program_run.observed
+    return program_run
+
+
+def observe(make_sim, program):
+    return interpret(make_sim(Metrics()), program).observed
 
 
 def check_program(program):
@@ -194,6 +231,29 @@ def check_program(program):
     for index, (got, want) in enumerate(zip(chained, reference)):
         assert got == want, f"step {index}: {got!r} != {want!r}"
     assert len(chained) == len(reference)
+
+
+def check_traced_program(program):
+    """A traced simulator observes what an untraced one does, and each
+    ``event_fired``/``event_cancelled`` record names the seq that its
+    event's own ``event_scheduled`` record announced."""
+    tracer = Tracer()
+    traced = interpret(Simulator(tracer=tracer, metrics=Metrics()),
+                       program, _TracedInterpreter)
+    assert traced.observed == observe(
+        lambda metrics: Simulator(metrics=metrics), program)
+    records = [record for record in tracer.events
+               if record["kind"].startswith("event_")]
+    assert [record["kind"] for record in records] == [
+        kind for kind, _ in traced.expected]
+    announced = {}
+    for record, (kind, ident) in zip(records, traced.expected):
+        if kind == "event_scheduled":
+            announced[ident] = record["event_seq"]
+        else:
+            assert record["event_seq"] == announced[ident], (kind, ident)
+    # Every event announced its own seq.
+    assert sorted(announced.values()) == list(range(len(announced)))
 
 
 class TestAgainstHeapReference:
@@ -217,11 +277,18 @@ class TestAgainstHeapReference:
         ]))
 
 
+class TestTracedSeqs:
+    @given(PROGRAMS)
+    @settings(max_examples=300, deadline=None)
+    def test_records_name_each_events_own_seq(self, program):
+        check_traced_program(program)
+
+
 class TestQueueShape:
     def test_same_instant_legs_share_one_heap_entry(self):
         # Every leg of a 2,000-message burst lands at 0.05: one heap
         # entry (2,000 with a heap of events), and the chain link is a
-        # slot of the event, so a leg still holds two GC-tracked objects.
+        # slot of the event, so chaining adds no GC-tracked object.
         sim = Simulator()
         network = Network(sim, RngStreams(1), latency=ConstantLatency(0.05))
         network.create_node("a")
@@ -235,7 +302,7 @@ class TestQueueShape:
         assert sim._queue == [] and sim.pending_events == 0
 
     def test_leg_and_rpc_budgets_are_unchanged(self):
-        assert (legs.TRACKED_PER_LEG, legs.TRACKED_PER_RPC) == (2, 13)
+        assert (legs.TRACKED_PER_LEG, legs.TRACKED_PER_RPC) == (1, 12)
 
     def test_fired_event_argument_is_freed_when_run_returns(self):
         # A queue that kept its last fired event as the chain tail would
