@@ -13,7 +13,6 @@ from repro.net.churn import (
     ChurnProcess,
     ChurnProfile,
     attach_churn,
-    cohort_from_profile,
     profile_for_class,
 )
 from repro.net.latency import ConstantLatency, LatencyModel, LogNormalLatency
@@ -38,7 +37,6 @@ __all__ = [
     "ChurnProfile",
     "ChurnProcess",
     "attach_churn",
-    "cohort_from_profile",
     "profile_for_class",
     "DATACENTER_PROFILE",
     "HOME_SERVER_PROFILE",

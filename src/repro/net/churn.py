@@ -13,23 +13,17 @@ The stationary availability of the alternating renewal process is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from repro.errors import NetworkError
 from repro.net.node import Node, NodeClass
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 
-if TYPE_CHECKING:  # pragma: no cover - import for annotations only
-    import numpy
-
-    from repro.sim.cohort import DeviceCohort
-
 __all__ = [
     "ChurnProfile",
     "ChurnProcess",
     "attach_churn",
-    "cohort_from_profile",
     "profile_for_class",
 ]
 
@@ -211,28 +205,3 @@ def attach_churn(
         processes.append(process)
     return processes
 
-
-def cohort_from_profile(
-    name: str,
-    profile: ChurnProfile,
-    size: int,
-    generator: "numpy.random.Generator",
-) -> "DeviceCohort":
-    """A :class:`~repro.sim.cohort.DeviceCohort` driven by ``profile``.
-
-    The vectorized counterpart of :func:`attach_churn`: instead of one
-    :class:`ChurnProcess` heap event per node, all ``size`` devices share
-    one set of arrays and one numpy generator (build it with
-    :func:`repro.sim.rng.seeded_generator`).  Aggregates agree with the
-    per-process path within the tolerance contract of ``docs/SCALING.md``.
-    """
-    from repro.sim.cohort import DeviceCohort
-
-    return DeviceCohort(
-        name,
-        size,
-        mean_uptime=profile.mean_uptime,
-        mean_downtime=profile.mean_downtime,
-        attrition=profile.attrition,
-        generator=generator,
-    )

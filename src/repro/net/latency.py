@@ -44,7 +44,7 @@ class LatencyModel:
 
     def delay(self, src: Node, dst: Node, size_bytes: int) -> float:
         """Propagation + serialization delay for a message."""
-        if size_bytes < 0:
+        if not size_bytes >= 0:  # also rejects NaN
             raise NetworkError(f"negative message size: {size_bytes}")
         bottleneck_bps = min(src.upstream_bps, dst.downstream_bps)
         serialization = (size_bytes * 8) / bottleneck_bps if size_bytes else 0.0

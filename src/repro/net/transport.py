@@ -15,19 +15,24 @@ Two primitives:
   that itself takes simulated time or performs nested RPCs).  Pass
   ``retries=N`` to re-issue a timed-out request up to N more times.
   Each attempt is one slotted call object that is at once the caller's
-  wait, the response target and the timeout callback; the response
+  wait, the payload of its legs and the timeout callback; the response
   arrival or the timer resumes the caller directly, so an answered
   attempt costs three engine events (request leg, a timer that gets
   cancelled, response leg) and a timed-out one two.
 
+There is one leg path: an RPC's request and response are :meth:`send`
+legs whose payload is the call, and every leg arrives through
+:meth:`Network._deliver`, which differs by leg kind only at its end.
+
 Observability: the network shares its :class:`Simulator`'s tracer and
-metrics (see :mod:`repro.obs`).  When active, every message leg emits a
-``msg_send`` / ``msg_deliver`` / ``msg_drop`` trace event and every RPC
-attempt emits an ``rpc`` span (start, end, outcome, attempt) plus
-``net.*`` counters and a latency histogram; when inactive each hook is a
-single ``is not None`` check.  Those counters are the transport's only
-tallies: with observation off it keeps just the flow ledger below and
-each node's ``bytes_sent``.
+metrics (see :mod:`repro.obs`).  When active, every message leg emits
+``msg_send`` before its loss draw and then ``msg_deliver`` or
+``msg_drop`` (RPC legs name their ``leg``), and every RPC attempt emits
+an ``rpc`` span (start, end, outcome, attempt) plus ``net.*`` counters
+and a latency histogram; when inactive each hook is a single ``is not
+None`` check.  Those counters are the transport's only tallies, and
+``net.messages_*`` equal the flow ledger below: with observation off it
+keeps just that ledger and each node's ``bytes_sent``.
 
 Fault injection: a :class:`FaultSurface` installed by
 :class:`repro.faults.FaultInjector` adds burst loss, a latency
@@ -50,7 +55,7 @@ observation hook, which is how relays get detected and re-blocked.
 
 The transport also keeps exact flow accounting — every message leg is
 ``sent`` and then exactly one of ``delivered`` or ``dropped`` (send-time
-loss, or arrival-time loss/offline/partition/corrupt), with the
+loss, or arrival-time offline/censor/partition/corrupt), with the
 remainder ``in_flight`` — which the chaos invariant harness checks
 continuously (``sent == delivered + dropped + in_flight``).
 """
@@ -271,8 +276,14 @@ _TIMED_OUT = object()
 
 
 class _RpcCall(_Waitable):
-    """One RPC attempt in flight: the caller's wait, the response target
-    and the timeout callback in one slotted object.
+    """One RPC attempt in flight: the caller's wait, the payload of both
+    of its legs and the timeout callback in one slotted object.
+
+    The call rides its legs as their payload.  It holds the request
+    payload, then the response value, and ``leg`` says which leg it is
+    on (``"rpc_request"``, then ``"rpc_response"``).  At request arrival
+    :meth:`Network._deliver` tells it its server node and client id,
+    and :meth:`reply` sends the response back along them.
 
     ``yield call`` subscribes the caller: the call keeps the caller's
     bound ``_resume`` and schedules its timer right after the request
@@ -288,22 +299,23 @@ class _RpcCall(_Waitable):
     ``tests/net/test_transport_legs.py``).
     """
 
-    __slots__ = ("network", "src", "dst", "size_bytes", "response_bytes",
-                 "timeout", "resume", "timer")
+    __slots__ = ("network", "payload", "leg", "client_id", "server",
+                 "response_bytes", "timeout", "resume", "timer")
+
+    # Unset until the request arrives.
+    client_id: str
+    server: Node
 
     def __init__(
         self,
         network: "Network",
-        src: Node,
-        dst: Node,
-        size_bytes: int,
+        payload: Any,
         response_bytes: int,
         timeout: float,
     ):
         self.network = network
-        self.src = src
-        self.dst = dst
-        self.size_bytes = size_bytes
+        self.payload = payload
+        self.leg = "rpc_request"
         self.response_bytes = response_bytes
         self.timeout = timeout
         self.resume: Optional[Callable[[Any], None]] = None
@@ -313,14 +325,14 @@ class _RpcCall(_Waitable):
         self.resume = process._resume
         self.timer = sim.schedule(self.timeout, self.expire)
 
-    def resolve(self, value: Any) -> None:
+    def resolve(self) -> None:
         """The response arrived: unless the timer settled the call
         first, tombstone the timer and resume the caller."""
         resume, timer = self.resume, self.timer
         if resume is not None and timer is not None:
             self.resume = self.timer = None
             timer.cancel()
-            resume(value)
+            resume(self.payload)
 
     def expire(self) -> None:
         """The timer fired first: resume the caller with ``_TIMED_OUT``."""
@@ -330,9 +342,15 @@ class _RpcCall(_Waitable):
             resume(_TIMED_OUT)
 
     def reply(self, value: Any) -> None:
-        """A generator handler finished: send its value back."""
-        self.network._rpc_respond(self.src, self.dst, value,
-                                  self.response_bytes, self)
+        """Send the handler's value back as the response leg; a handler
+        process waits on this too.  A server that went offline before
+        responding sends nothing."""
+        server = self.server
+        if server.online:
+            self.payload = value
+            self.leg = "rpc_response"
+            self.network.send(server.node_id, self.client_id, "response",
+                              self, self.response_bytes)
 
 
 class Network:
@@ -382,10 +400,8 @@ class Network:
         self._flow_delivered = 0
         self._flow_dropped = 0
         self._flow_in_flight = 0
-        # Arrival callbacks bound once, not once per scheduled leg.
+        # The arrival callback, bound once, not once per scheduled leg.
         self._deliver_cb = self._deliver
-        self._rpc_arrive_cb = self._rpc_arrive
-        self._deliver_response_cb = self._deliver_response
 
     # -- registry ----------------------------------------------------------
 
@@ -425,7 +441,7 @@ class Network:
     def online_nodes(self) -> List[Node]:
         return [n for n in self._nodes.values() if n.online]
 
-    # -- one-way messages ----------------------------------------------------
+    # -- message legs --------------------------------------------------------
 
     def send(
         self,
@@ -439,6 +455,8 @@ class Network:
 
         The handler's return value is discarded.  Lost silently if the
         message is dropped or the destination is offline at arrival.
+        :meth:`rpc` sends its request and response legs through here
+        too, each with the call object as its payload.
         """
         if not size_bytes >= 0:  # also rejects NaN
             raise NetworkError(f"negative message size: {size_bytes}")
@@ -449,7 +467,8 @@ class Network:
         src.bytes_sent += size_bytes
         self._flow_sent += 1
         if self._tracer is not None or self._metrics is not None:
-            self._msg_event("msg_send", src_id, dst_id, method, size_bytes)
+            self._msg_event("msg_send", src_id, dst_id, method, payload,
+                            size_bytes)
         # Loss/latency fault checks inlined: this is the hottest path in
         # the library and the quiet-plan cost budget is one pointer check
         # per hook, not a method call.
@@ -458,7 +477,7 @@ class Network:
                 and self._loss_rng.random() < self.loss_rate) or (
                 faults is not None and faults.drop_prob > 0
                 and faults.drop_rng.random() < faults.drop_prob):
-            self._drop(src_id, dst_id, method, size_bytes, "loss")
+            self._drop(src_id, dst_id, method, payload, size_bytes, "loss")
             return
         delay = self.latency.delay(src, dst, size_bytes)
         if faults is not None and faults.latency_factor != 1.0:
@@ -475,36 +494,62 @@ class Network:
         payload: Any,
         size_bytes: int,
     ) -> None:
-        """Arrival of one one-way leg, scheduled by :meth:`send`.
+        """Arrival of one leg, scheduled by :meth:`send`.
 
         A method bound once per network rather than a per-message
         closure, so an in-flight leg is one GC-tracked object: its event
         (a heap entry or a chain link), which holds these arguments
         inline.  Checks run offline → censor → partition → corrupt, each
         reading transport state at arrival, so faults landing mid-flight
-        still kill it.
+        still kill it.  A delivered leg then differs by kind: a one-way
+        leg is dispatched, an RPC request is dispatched and answered,
+        and an RPC response resolves its call.  A dropped request is
+        accounted like any dropped leg, and its caller times out.
         """
         self._flow_in_flight -= 1
         dst_id = dst.node_id
         if not dst.online:
-            self._drop(src_id, dst_id, method, size_bytes, "offline")
+            self._drop(src_id, dst_id, method, payload, size_bytes,
+                       "offline")
             return
         if (self._censor is not None
                 and self._censored(src_id, dst_id, method)):
-            self._drop(src_id, dst_id, method, size_bytes, "censor")
+            self._drop(src_id, dst_id, method, payload, size_bytes, "censor")
             return
         if ((self._partition is not None or self._censor is not None)
                 and not self.can_reach(src_id, dst_id)):
-            self._drop(src_id, dst_id, method, size_bytes, "partition")
+            self._drop(src_id, dst_id, method, payload, size_bytes,
+                       "partition")
             return
         faults = self._faults
         if (faults is not None and faults.corrupt_prob > 0
                 and faults.corrupt_rng.random() < faults.corrupt_prob):
-            self._drop(src_id, dst_id, method, size_bytes, "corrupt")
+            self._drop(src_id, dst_id, method, payload, size_bytes,
+                       "corrupt")
             return
         self._flow_delivered += 1
         if self._tracer is not None or self._metrics is not None:
-            self._msg_event("msg_deliver", src_id, dst_id, method, size_bytes)
+            self._msg_event("msg_deliver", src_id, dst_id, method, payload,
+                            size_bytes)
+        if payload.__class__ is _RpcCall:
+            call = payload
+            if call.leg == "rpc_response":
+                call.resolve()
+                return
+            call.client_id, call.server = src_id, dst
+            try:
+                result = dst.dispatch(method, call.payload, src_id)
+            except ReproError as exc:
+                call.reply(_RpcFault(exc))
+                return
+            if result is not None and _is_generator(result):
+                process = self.sim.spawn(
+                    _faults_to_value(result), name=f"{dst_id}.{method}"
+                )
+                process.completion._add_waiter(self.sim, call.reply)
+            else:
+                call.reply(result)
+            return
         try:
             result = dst.dispatch(method, payload, src_id)
         except ReproError:
@@ -596,39 +641,11 @@ class Network:
         attempt: int,
     ) -> Generator:
         """One request/response attempt (the pre-retry ``rpc`` body)."""
-        src, dst = self.node(src_id), self.node(dst_id)
-        src.bytes_sent += size_bytes
+        call = _RpcCall(self, payload, response_bytes, timeout)
+        self.send(src_id, dst_id, method, call, size_bytes)
         if self._metrics is not None:
             self._metrics.inc("net.rpcs_sent")
         start = self.sim.now
-        call = _RpcCall(self, src, dst, size_bytes, response_bytes, timeout)
-
-        self._flow_sent += 1
-        faults = self._faults
-        if not ((self.loss_rate > 0
-                 and self._loss_rng.random() < self.loss_rate) or (
-                faults is not None and faults.drop_prob > 0
-                and faults.drop_rng.random() < faults.drop_prob)):
-            if self._tracer is not None or self._metrics is not None:
-                self._msg_event("msg_send", src_id, dst_id, method,
-                                size_bytes, leg="rpc_request")
-            request_delay = self.latency.delay(src, dst, size_bytes)
-            if faults is not None and faults.latency_factor != 1.0:
-                request_delay *= faults.latency_factor
-            self._flow_in_flight += 1
-            self.sim.schedule(
-                request_delay,
-                self._rpc_arrive_cb,
-                src,
-                dst,
-                method,
-                payload,
-                response_bytes,
-                call,
-            )
-        else:
-            self._drop(src_id, dst_id, method, size_bytes,
-                       "loss", "rpc_request")
 
         # Yielding the call schedules its timer.  A response cancels the
         # timer, so the queue does not stay hot for ``timeout`` seconds;
@@ -667,117 +684,6 @@ class Network:
             if outcome == "ok":
                 self._metrics.observe("net.rpc_latency_s",
                                       self.sim.now - start)
-
-    def _rpc_arrive(
-        self,
-        src: Node,
-        dst: Node,
-        method: str,
-        payload: Any,
-        response_bytes: int,
-        call: _RpcCall,
-    ) -> None:
-        """Arrival of an RPC request at ``dst``, scheduled by
-        :meth:`_rpc_attempt`; the same arrival checks, in the same order,
-        as :meth:`_deliver`.  A dropped request is accounted like any
-        dropped leg, at the request's size, and its caller times out."""
-        self._flow_in_flight -= 1
-        src_id, dst_id = src.node_id, dst.node_id
-        if not dst.online:
-            self._drop(src_id, dst_id, method, call.size_bytes,
-                       "offline", "rpc_request")
-            return
-        if (self._censor is not None
-                and self._censored(src_id, dst_id, method)):
-            self._drop(src_id, dst_id, method, call.size_bytes,
-                       "censor", "rpc_request")
-            return
-        if ((self._partition is not None or self._censor is not None)
-                and not self.can_reach(src_id, dst_id)):
-            self._drop(src_id, dst_id, method, call.size_bytes,
-                       "partition", "rpc_request")
-            return
-        faults = self._faults
-        if (faults is not None and faults.corrupt_prob > 0
-                and faults.corrupt_rng.random() < faults.corrupt_prob):
-            self._drop(src_id, dst_id, method, call.size_bytes,
-                       "corrupt", "rpc_request")
-            return
-        self._flow_delivered += 1
-        try:
-            result = dst.dispatch(method, payload, src_id)
-        except ReproError as exc:
-            self._rpc_respond(src, dst, _RpcFault(exc), response_bytes, call)
-            return
-        if result is not None and _is_generator(result):
-            process = self.sim.spawn(
-                _faults_to_value(result), name=f"{dst_id}.{method}"
-            )
-            process.completion._add_waiter(self.sim, call.reply)
-        else:
-            self._rpc_respond(src, dst, result, response_bytes, call)
-
-    def _rpc_respond(
-        self, src: Node, dst: Node, value: Any, response_bytes: int,
-        call: _RpcCall,
-    ) -> None:
-        """Send the response back from dst to src."""
-        if not dst.online:
-            return  # server died before responding
-        dst.bytes_sent += response_bytes
-        self._flow_sent += 1
-        faults = self._faults
-        if (self.loss_rate > 0
-                and self._loss_rng.random() < self.loss_rate) or (
-                faults is not None and faults.drop_prob > 0
-                and faults.drop_rng.random() < faults.drop_prob):
-            self._drop(dst.node_id, src.node_id, "response",
-                       response_bytes, "loss", "rpc_response")
-            return
-        if self._tracer is not None or self._metrics is not None:
-            self._msg_event("msg_send", dst.node_id, src.node_id, "response",
-                            response_bytes, leg="rpc_response")
-        delay = self.latency.delay(dst, src, response_bytes)
-        if faults is not None and faults.latency_factor != 1.0:
-            delay *= faults.latency_factor
-        self._flow_in_flight += 1
-        self.sim.schedule(delay, self._deliver_response_cb, src, dst, value,
-                          response_bytes, call)
-
-    def _deliver_response(
-        self, src: Node, dst: Node, value: Any, response_bytes: int,
-        call: _RpcCall,
-    ) -> None:
-        """Arrival of an RPC response at the caller ``src``, scheduled by
-        :meth:`_rpc_respond`; the same arrival checks, in the same order,
-        as :meth:`_deliver`."""
-        self._flow_in_flight -= 1
-        server_id, client_id = dst.node_id, src.node_id
-        if not src.online:
-            self._drop(server_id, client_id, "response",
-                       response_bytes, "offline", "rpc_response")
-            return
-        if (self._censor is not None
-                and self._censored(server_id, client_id, "response")):
-            self._drop(server_id, client_id, "response",
-                       response_bytes, "censor", "rpc_response")
-            return
-        if ((self._partition is not None or self._censor is not None)
-                and not self.can_reach(server_id, client_id)):
-            self._drop(server_id, client_id, "response",
-                       response_bytes, "partition", "rpc_response")
-            return
-        faults = self._faults
-        if (faults is not None and faults.corrupt_prob > 0
-                and faults.corrupt_rng.random() < faults.corrupt_prob):
-            self._drop(server_id, client_id, "response",
-                       response_bytes, "corrupt", "rpc_response")
-            return
-        self._flow_delivered += 1
-        if self._tracer is not None or self._metrics is not None:
-            self._msg_event("msg_deliver", server_id, client_id, "response",
-                            response_bytes, leg="rpc_response")
-        call.resolve(value)
 
     # -- partitions -------------------------------------------------------------
 
@@ -838,16 +744,16 @@ class Network:
         src_id: str,
         dst_id: str,
         method: str,
+        payload: Any,
         size_bytes: int,
         reason: str,
-        leg: Optional[str] = None,
     ) -> None:
         """Account one dropped leg: the flow ledger and a ``msg_drop``
         event."""
         self._flow_dropped += 1
         if self._tracer is not None or self._metrics is not None:
-            self._msg_event("msg_drop", src_id, dst_id, method, size_bytes,
-                            reason=reason, leg=leg)
+            self._msg_event("msg_drop", src_id, dst_id, method, payload,
+                            size_bytes, reason)
 
     def _msg_event(
         self,
@@ -855,12 +761,13 @@ class Network:
         src_id: str,
         dst_id: str,
         method: str,
+        payload: Any,
         size_bytes: int,
         reason: Optional[str] = None,
-        leg: Optional[str] = None,
     ) -> None:
         """Record one message leg into the tracer and metrics (no-op
-        with observation disabled)."""
+        with observation disabled); an RPC leg's record names its
+        ``leg``."""
         if self._tracer is not None:
             fields: Dict[str, Any] = {
                 "t": self.sim.now, "src": src_id, "dst": dst_id,
@@ -868,8 +775,8 @@ class Network:
             }
             if reason is not None:
                 fields["reason"] = reason
-            if leg is not None:
-                fields["leg"] = leg
+            if payload.__class__ is _RpcCall:
+                fields["leg"] = payload.leg
             self._tracer.emit(kind, **fields)
         if self._metrics is not None:
             if kind == "msg_send":

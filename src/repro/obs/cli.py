@@ -5,7 +5,7 @@ Usage::
     python -m repro trace E4                       # summary to stdout
     python -m repro trace E4 --out trace.jsonl     # plus JSONL trace file
     python -m repro trace E4 --format json         # machine-readable report
-    python -m repro trace --validate trace.jsonl   # schema + event accounting
+    python -m repro trace --validate trace.jsonl   # schema, event + leg checks
 
 Exit codes: 0 ok, 1 validation failed, 2 usage error — mirroring the
 lint CLI.

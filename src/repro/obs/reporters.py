@@ -16,8 +16,10 @@ Trace validation checks the JSONL schema that
 non-empty ``str`` ``kind``, and — when present — a finite, non-negative
 simulated timestamp ``t``.  Unknown kinds and extra fields are allowed
 (the kind set is open), so validation survives new emitters.  Across
-records it checks the engine's event accounting: an event is fired or
-cancelled at most once, and only after it was scheduled.
+records it checks the engine's event accounting (an event is fired or
+cancelled at most once, and only after it was scheduled) and the
+transport's leg accounting (a message leg is delivered or dropped only
+after it was sent).
 """
 
 from __future__ import annotations
@@ -119,6 +121,10 @@ def render_report_human(
 #: (a tuple, not a set: a malformed ``kind`` may be unhashable).
 _EVENT_SETTLED = ("event_fired", "event_cancelled")
 
+#: Records that end a message leg, and the fields that name its flow.
+_LEG_SETTLED = ("msg_deliver", "msg_drop")
+_LEG_FIELDS = ("src", "dst", "method", "leg")
+
 
 def validate_trace_line(
     obj: Any, expected_seq: Optional[int] = None
@@ -155,6 +161,12 @@ def validate_trace_line(
                 or event_seq < 0):
             errors.append(
                 f"event_seq is {event_seq!r}, expected non-negative int")
+    if kind == "msg_send" or kind in _LEG_SETTLED:
+        for field in _LEG_FIELDS:
+            value = obj.get(field)
+            if not (isinstance(value, str)
+                    or field == "leg" and value is None):
+                errors.append(f"{field} is {value!r}, expected string")
     return errors
 
 
@@ -164,9 +176,11 @@ def validate_trace_file(path: str) -> List[str]:
 
     At every record, the ``event_fired`` and ``event_cancelled`` records
     naming an ``event_seq`` may not outnumber the ``event_scheduled``
-    records naming it so far.  The counts are multisets because a
+    records naming it so far, and the ``msg_deliver`` and ``msg_drop``
+    records of a ``(src, dst, method, leg)`` flow may not outnumber its
+    ``msg_send`` records so far.  The counts are multisets because a
     sweep's trace holds several simulators whose seqs each start at 0;
-    a trace cut short by ``--capacity`` is a prefix, so the check holds
+    a trace cut short by ``--capacity`` is a prefix, so the checks hold
     on it too.  Each error is prefixed ``line N:`` for human
     consumption.
     """
@@ -174,6 +188,8 @@ def validate_trace_file(path: str) -> List[str]:
     next_seq = 0
     scheduled: Counter = Counter()
     settled: Counter = Counter()
+    legs_sent: Counter = Counter()
+    legs_settled: Counter = Counter()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -192,6 +208,25 @@ def validate_trace_file(path: str) -> List[str]:
             if isinstance(seq, int) and not isinstance(seq, bool):
                 next_seq = max(next_seq, seq + 1)
             kind, event_seq = obj.get("kind"), obj.get("event_seq")
+            if kind == "msg_send" or kind in _LEG_SETTLED:
+                flow = tuple(obj.get(field) for field in _LEG_FIELDS)
+                if not all(isinstance(value, (str, type(None)))
+                           for value in flow):
+                    continue  # reported above
+                if kind == "msg_send":
+                    legs_sent[flow] += 1
+                    continue
+                legs_settled[flow] += 1
+                if legs_settled[flow] > legs_sent[flow]:
+                    src, dst, method, leg = flow
+                    label = f" {leg}" if leg is not None else ""
+                    errors.append(
+                        f"line {lineno}: {method!r}{label} legs from"
+                        f" {src!r} to {dst!r} delivered or dropped"
+                        f" {legs_settled[flow]} time(s) but sent"
+                        f" {legs_sent[flow]} time(s)"
+                    )
+                continue
             if not isinstance(event_seq, int):
                 continue  # not an event record, or reported above
             if kind == "event_scheduled":

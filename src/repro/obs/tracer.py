@@ -26,9 +26,11 @@ kind                 emitted by
 ``process_spawned``  :meth:`Simulator.spawn`
 ``process_finished`` a process generator returning
 ``queue_depth``      periodic queue-depth samples from the run loop
-``msg_send``         :meth:`Network.send` / request legs of ``rpc``
-``msg_deliver``      successful delivery at the destination
-``msg_drop``         loss / offline / partition drops (``reason`` field)
+``msg_send``         every message leg, before its loss draw (RPC legs
+                     carry ``leg``: ``rpc_request`` / ``rpc_response``)
+``msg_deliver``      successful delivery of a leg at its destination
+``msg_drop``         loss / offline / censor / partition / corrupt drops
+                     (``reason`` field)
 ``rpc``              one completed RPC attempt (latency, outcome, retry)
 ``sweep_task``       one sweep grid point (wall time, cache status)
 ``fault_injected``   :class:`repro.faults.FaultInjector` opening a fault

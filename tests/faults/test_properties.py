@@ -9,6 +9,9 @@ assert the two safety invariants every scenario in this repo relies on:
   accounting itself, no matter which faults fire.
 * **no double resume** — no combination of crash/heal/window events
   causes a process to be resumed twice (``sim.stale_resumes == 0``).
+* **metrics equal the ledger** — the ``net.messages_*`` counters agree
+  with the flow ledger for one-way and RPC legs alike, the drop reasons
+  sum to the drops, and ``net.bytes_sent`` to the nodes' own tallies.
 
 plus the reproducibility contract: the same ``(plan, seed)`` pair must
 produce a byte-identical trace.
@@ -19,6 +22,7 @@ import os
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import NetworkError, RemoteError, RpcTimeoutError
 from repro.faults import (
     Corrupt,
     Crash,
@@ -32,7 +36,7 @@ from repro.faults import (
     no_double_resume,
 )
 from repro.net import ConstantLatency, Network
-from repro.obs import Tracer, observe
+from repro.obs import Metrics, Tracer, observe
 from repro.sim import RngStreams, Simulator
 
 HORIZON = 100.0
@@ -121,11 +125,45 @@ def fault_plans():
 
 # --------------------------------------------------------------------------
 # A small generic workload: every node pings every other node on a
-# staggered clock for the whole horizon.
+# staggered clock for the whole horizon, and calls the others in turn
+# through a plain, a generator and a failing handler, some calls with a
+# retry.
 # --------------------------------------------------------------------------
 
-def run_workload(plan, seed, tracer=None):
-    with observe(tracer=tracer):
+def _echo(node, payload, sender):
+    return payload
+
+
+def _slow_echo(node, payload, sender):
+    yield 0.3
+    return payload
+
+
+def _refuse(node, payload, sender):
+    raise NetworkError("refused")
+
+
+RPC_HANDLERS = (("echo", _echo), ("slow", _slow_echo), ("refuse", _refuse))
+
+
+def _rpc_client(sim, network, index):
+    src = NODES[index]
+    yield 0.4 * index
+    call = 0
+    while sim.now < HORIZON - 10.0:
+        dst = NODES[(index + 1 + call % 3) % len(NODES)]
+        method = RPC_HANDLERS[call % len(RPC_HANDLERS)][0]
+        try:
+            yield from network.rpc(src, dst, method, call, timeout=2.0,
+                                   retries=call % 2)
+        except (RemoteError, RpcTimeoutError):
+            pass
+        yield 1.5
+        call += 1
+
+
+def run_workload(plan, seed, tracer=None, metrics=None):
+    with observe(tracer=tracer, metrics=metrics):
         return _run_workload(plan, seed)
 
 
@@ -137,6 +175,8 @@ def _run_workload(plan, seed):
     for node_id in NODES:
         node = network.create_node(node_id)
         node.register_handler("ping", lambda n, payload, sender: None)
+        for method, handler in RPC_HANDLERS:
+            node.register_handler(method, handler)
 
     for i, src in enumerate(NODES):
         for j, dst in enumerate(NODES):
@@ -146,6 +186,7 @@ def _run_workload(plan, seed):
             while t < HORIZON - 5.0:
                 sim.schedule_at(t, network.send, src, dst, "ping", t)
                 t += 4.0
+        sim.spawn(_rpc_client(sim, network, i), name=f"client.{src}")
 
     injector = FaultInjector(sim, network, plan, streams)
     harness = InvariantHarness(sim, network, injector, interval=5.0)
@@ -168,12 +209,21 @@ def _run_workload(plan, seed):
 @chaos_settings
 @given(plan=fault_plans(), seed=st.integers(min_value=0, max_value=2**20))
 def test_invariants_hold_under_random_faults(plan, seed):
-    sim, network, violations = run_workload(plan, seed)
+    metrics = Metrics()
+    sim, network, violations = run_workload(plan, seed, metrics=metrics)
     assert violations == []
     flow = network.flow_snapshot()
     assert flow["in_flight"] == 0
     assert flow["delivered"] + flow["dropped"] == flow["sent"]
     assert sim.stale_resumes == 0
+    counters = metrics.snapshot()["counters"]
+    for outcome in ("sent", "delivered", "dropped"):
+        assert counters.get(f"net.messages_{outcome}", 0) == flow[outcome]
+    assert counters.get("net.messages_dropped", 0) == sum(
+        count for name, count in counters.items()
+        if name.startswith("net.messages_dropped."))
+    assert counters.get("net.bytes_sent", 0) == sum(
+        node.bytes_sent for node in network.nodes())
 
 
 @chaos_settings

@@ -635,10 +635,10 @@ class TestFederationBugRegressions:
         sent_to = []
         original_send = network.send
 
-        def spying_send(src, dst, method, payload):
+        def spying_send(src, dst, method, *rest):
             if method == "fed.push":
                 sent_to.append(dst)
-            return original_send(src, dst, method, payload)
+            return original_send(src, dst, method, *rest)
 
         network.send = spying_send
         try:

@@ -94,8 +94,10 @@ class TestLatencyModels:
         assert all(model.propagation_delay(a, b) > 0 for _ in range(100))
 
     def test_negative_size_rejected(self):
-        with pytest.raises(NetworkError):
-            ConstantLatency(0.1).delay(Node("a"), Node("b"), -1)
+        # A NaN size passes a ``< 0`` test and would return a NaN delay.
+        for size in (-1, float("nan")):
+            with pytest.raises(NetworkError, match="negative message size"):
+                ConstantLatency(0.1).delay(Node("a"), Node("b"), size)
 
     @pytest.mark.parametrize("seconds", [-0.1, float("nan")])
     def test_constant_rejects_negative_or_nan_seconds(self, seconds):

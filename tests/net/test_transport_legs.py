@@ -12,12 +12,12 @@ at the queue depths of a message flood the cyclic collector rescans
 every one of them on each pass.
 
 An RPC attempt is one call object that is the caller's wait, the
-response target and the timeout callback.  In flight, with its caller
-process, it holds at most 12 GC-tracked objects (11 on CPython 3.11; a
-signal-or-timeout race held 30, and a process parked on ``yield 30.0``
-holds 7), and it costs three engine events when answered and two when
-it times out.  A cancelled event keeps neither its callback nor its
-arguments alive while it waits in the queue.
+payload of both its legs and the timeout callback.  In flight, with its
+caller process, it holds at most 12 GC-tracked objects (11 on CPython
+3.11; a signal-or-timeout race held 30, and a process parked on
+``yield 30.0`` holds 7), and it costs three engine events when answered
+and two when it times out.  A cancelled event keeps neither its
+callback nor its arguments alive while it waits in the queue.
 
 Each budget is read from the second of two identical passes: a tracer
 (coverage's, or the standard library's ``trace``) allocates once per
@@ -151,14 +151,15 @@ class TestAllocationBudget:
         assert sim.pending_events == 2 * LEGS
 
     def test_rpc_response_leg_stays_within_budget(self, pair):
+        # A request leg that nobody waits on: its arrival tells the call
+        # its server and client and answers it, and that response
+        # resolves nothing.  Every later reply is one more response leg.
         sim, network = pair
-        src, dst = network.node("a"), network.node("b")
-        call = _RpcCall(network, src, dst, 512, 512, 30.0)
-        network._rpc_respond(src, dst, 1, 512, call)  # warm the counter key
+        call = _RpcCall(network, 1, 512, 30.0)
+        network.send("a", "b", "ping", call)
         sim.run()
-        per_leg = tracked_per_leg(
-            lambda: network._rpc_respond(src, dst, 1, 512, call)
-        )
+        assert network.flow_snapshot()["delivered"] == 2
+        per_leg = tracked_per_leg(lambda: call.reply(1))
         assert per_leg <= TRACKED_PER_LEG
         assert sim.pending_events == 2 * LEGS
 
@@ -236,12 +237,11 @@ class TestRpcEventBudget:
             "sim.tombstones_drained": RPC_ROUNDS,
             "sim.processes_spawned": 1,
             "sim.processes_finished": 1,
-            # Two 512-byte legs per call: both count as sent, only the
-            # response leg counts as delivered.
+            # Two 512-byte legs per call, each sent and delivered.
             "net.messages_sent": 2 * RPC_ROUNDS,
-            "net.messages_delivered": RPC_ROUNDS,
+            "net.messages_delivered": 2 * RPC_ROUNDS,
             "net.bytes_sent": 2 * RPC_ROUNDS * 512,
-            "net.bytes_delivered": RPC_ROUNDS * 512,
+            "net.bytes_delivered": 2 * RPC_ROUNDS * 512,
             "net.rpcs_sent": RPC_ROUNDS,
             "net.rpcs_ok": RPC_ROUNDS,
         }

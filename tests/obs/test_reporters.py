@@ -10,8 +10,10 @@ from repro.obs import (
     validate_trace_file,
     validate_trace_line,
 )
+from repro.errors import RpcTimeoutError
+from repro.net import ConstantLatency, Network
 from repro.obs.reporters import JSON_SCHEMA_VERSION
-from repro.sim import Simulator
+from repro.sim import RngStreams, Simulator
 
 
 def _sample_metrics():
@@ -195,3 +197,99 @@ class TestValidateEventAccounting:
                 "event_seq": event_seq,
             })
             assert any("event_seq" in e for e in errors), event_seq
+
+
+def _leg_trace(tmp_path, records):
+    """A trace file of ``(kind, src, dst, method, leg)`` records."""
+    path = tmp_path / "legs.jsonl"
+    lines = []
+    for seq, (kind, src, dst, method, leg) in enumerate(records):
+        record = {"schema": 1, "seq": seq, "kind": kind, "t": 0.0,
+                  "src": src, "dst": dst, "method": method, "bytes": 512}
+        if leg is not None:
+            record["leg"] = leg
+        lines.append(json.dumps(record) + "\n")
+    path.write_text("".join(lines))
+    return str(path)
+
+
+def _lossy_rpc_trace(capacity=None):
+    """A traced run of 40 echo RPCs and 40 one-way pings over a link
+    that loses 30% of legs at send."""
+    tracer = Tracer(capacity=capacity)
+    sim = Simulator(tracer=tracer)
+    network = Network(sim, RngStreams(2), latency=ConstantLatency(0.05),
+                      loss_rate=0.3)
+    network.create_node("a")
+    server = network.create_node("b")
+    server.register_handler("echo", lambda node, payload, sender: payload)
+    server.register_handler("ping", lambda node, payload, sender: None)
+
+    def client():
+        for i in range(40):
+            network.send("a", "b", "ping", i)
+            try:
+                yield from network.rpc("a", "b", "echo", i, timeout=1.0)
+            except RpcTimeoutError:
+                pass
+
+    sim.run_process(client())
+    return tracer
+
+
+class TestValidateLegAccounting:
+    def test_lossy_rpc_trace_is_valid(self, tmp_path):
+        tracer = _lossy_rpc_trace()
+        records = tracer.events
+        # Both RPC legs are lost at send, and requests are delivered.
+        for leg in ("rpc_request", "rpc_response"):
+            assert any(r["kind"] == "msg_drop" and r["reason"] == "loss"
+                       and r.get("leg") == leg for r in records), leg
+        assert any(r["kind"] == "msg_deliver"
+                   and r.get("leg") == "rpc_request" for r in records)
+        path = tmp_path / "rpc.jsonl"
+        tracer.write_jsonl(str(path))
+        assert validate_trace_file(str(path)) == []
+
+    def test_capacity_prefix_is_valid(self, tmp_path):
+        tracer = _lossy_rpc_trace(capacity=301)
+        assert tracer.dropped > 0
+        path = tmp_path / "prefix.jsonl"
+        tracer.write_jsonl(str(path))
+        assert validate_trace_file(str(path)) == []
+
+    def test_drop_with_no_send_rejected(self, tmp_path):
+        path = _leg_trace(tmp_path, [
+            ("msg_send", "a", "b", "echo", "rpc_request"),
+            ("msg_deliver", "a", "b", "echo", "rpc_request"),
+            ("msg_drop", "b", "a", "response", "rpc_response"),
+            ("msg_drop", "a", "b", "ping", None),
+        ])
+        assert validate_trace_file(path) == [
+            "line 3: 'response' rpc_response legs from 'b' to 'a'"
+            " delivered or dropped 1 time(s) but sent 0 time(s)",
+            "line 4: 'ping' legs from 'a' to 'b' delivered or dropped"
+            " 1 time(s) but sent 0 time(s)",
+        ]
+
+    def test_repeated_flows_count_as_a_multiset(self, tmp_path):
+        path = _leg_trace(tmp_path, [
+            ("msg_send", "a", "b", "ping", None),
+            ("msg_send", "a", "b", "ping", None),
+            ("msg_drop", "a", "b", "ping", None),
+            ("msg_deliver", "a", "b", "ping", None),
+            ("msg_deliver", "a", "b", "ping", None),
+        ])
+        assert validate_trace_file(path) == [
+            "line 5: 'ping' legs from 'a' to 'b' delivered or dropped"
+            " 3 time(s) but sent 2 time(s)",
+        ]
+
+    def test_leg_record_needs_string_flow_fields(self):
+        clean = {"schema": 1, "seq": 0, "kind": "msg_send", "src": "a",
+                 "dst": "b", "method": "ping"}
+        assert validate_trace_line(clean) == []
+        for field, value in (("src", None), ("dst", 7), ("method", []),
+                             ("leg", 1)):
+            errors = validate_trace_line({**clean, field: value})
+            assert any(e.startswith(f"{field} is") for e in errors), field

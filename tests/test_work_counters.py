@@ -136,9 +136,9 @@ def test_obs_histogram_observe_merge():
 
 # Six nodes in a ring, each calling its successor 120 times.
 CHAOS_RING = {
-    "net.bytes_delivered": 368_640,
+    "net.bytes_delivered": 737_280,
     "net.bytes_sent": 737_280,
-    "net.messages_delivered": 720,
+    "net.messages_delivered": 1440,
     "net.messages_sent": 1440,
     "net.rpcs_ok": 720,
     "net.rpcs_sent": 720,
@@ -182,9 +182,9 @@ def test_chaos_quiet_plan():
 
 def test_e4_federation_scaling():
     assert counters(lambda: run_federation_availability(seed=7)) == {
-        "net.bytes_delivered": 2_682_880,
+        "net.bytes_delivered": 5_349_376,
         "net.bytes_sent": 5_389_312,
-        "net.messages_delivered": 5240,
+        "net.messages_delivered": 10_448,
         "net.messages_dropped": 78,
         "net.messages_dropped.offline": 78,
         "net.messages_sent": 10_526,
@@ -214,9 +214,9 @@ def test_e4_cohort_100k():
 
 def test_e5_churn_tradeoff():
     assert counters(lambda: run_social_tradeoff(seed=3)) == {
-        "net.bytes_delivered": 1_803_776,
+        "net.bytes_delivered": 3_598_336,
         "net.bytes_sent": 3_609_600,
-        "net.messages_delivered": 3523,
+        "net.messages_delivered": 7028,
         "net.messages_dropped": 22,
         "net.messages_dropped.offline": 22,
         "net.messages_sent": 7050,
@@ -235,9 +235,9 @@ def test_e5_churn_tradeoff():
 
 def test_e6_registration_sweep():
     assert counters(lambda: run_naming_comparison(seed=2)) == {
-        "net.bytes_delivered": 512,
+        "net.bytes_delivered": 1024,
         "net.bytes_sent": 1024,
-        "net.messages_delivered": 1,
+        "net.messages_delivered": 2,
         "net.messages_sent": 2,
         "net.rpcs_ok": 1,
         "net.rpcs_sent": 1,
@@ -260,9 +260,9 @@ def test_sweep_cold_warm_cache(tmp_path):
     # The warm pass replays all six grid points from the cache, so every
     # event and message below is the cold pass's.
     assert counters(cold_then_warm) == {
-        "net.bytes_delivered": 4_086_272,
+        "net.bytes_delivered": 8_172_544,
         "net.bytes_sent": 8_172_544,
-        "net.messages_delivered": 7981,
+        "net.messages_delivered": 15_962,
         "net.messages_sent": 15_962,
         "net.rpcs_ok": 7981,
         "net.rpcs_sent": 7981,
